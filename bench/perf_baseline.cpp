@@ -18,18 +18,6 @@
 //                                         contains SUBSTR (the CI obs-overhead
 //                                         A/B uses --only replay_hour; not
 //                                         combinable with --check)
-//   perf_baseline --shards N              run the replay metrics with sharded
-//                                         replay (scenario key shards=N);
-//                                         results are bit-identical, only
-//                                         wall time moves (not combinable
-//                                         with --check: the baseline is
-//                                         serial)
-//
-// Shard-scaling mode (the tentpole's scaling artifact):
-//   perf_baseline --shard-scaling         replay the pinned hour scenario at
-//                                         shards 1,2,4,... and report wall
-//                                         time + speedup per point
-//   ... --json OUT.json                   schema cloudcr-shard-scaling/1
 //
 // Month-scale memory mode (separate from the wall-time matrix — peak RSS is
 // process-wide and monotone, so each mode needs its own process):
@@ -62,7 +50,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -99,7 +86,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr const char* kSchema = "cloudcr-perf-baseline/1";
 constexpr const char* kMonthSchema = "cloudcr-month-scale/1";
-constexpr const char* kShardScalingSchema = "cloudcr-shard-scaling/1";
 
 /// The month-scale scenario: ~1M tasks of synthetic arrivals over 30 days
 /// (the google_fixture() config stretched to a month — no sample-job
@@ -156,14 +142,13 @@ void register_custom_grouped() {
 int run_month_scale(const std::string& mode, const std::string& predictor,
                     double max_rss_mb, const std::string& json_path,
                     const std::string& obs_value,
-                    const std::string& probe_csv_path, std::uint32_t shards) {
+                    const std::string& probe_csv_path) {
   if (mode != "streamed" && mode != "materialized") {
     std::cerr << "--month-scale wants 'streamed' or 'materialized', got '"
               << mode << "'\n";
     return 2;
   }
   api::ScenarioSpec spec = month_spec();
-  spec.shards = shards;
   if (!predictor.empty()) spec.predictor = predictor;
   if (!obs_value.empty()) {
     try {
@@ -192,11 +177,10 @@ int run_month_scale(const std::string& mode, const std::string& predictor,
   const std::size_t task_rows = workspace.tasks.size();
   const std::size_t job_slots = workspace.jobs.size();
 
-  std::printf("month-scale %s (predictor=%s, shards=%u): %zu jobs, "
-              "%zu tasks, %zu events\n",
-              mode.c_str(), spec.predictor.c_str(), spec.shards,
-              artifact.trace_jobs, artifact.trace_tasks,
-              artifact.result.events_dispatched);
+  std::printf("month-scale %s (predictor=%s): %zu jobs, %zu tasks, "
+              "%zu events\n",
+              mode.c_str(), spec.predictor.c_str(), artifact.trace_jobs,
+              artifact.trace_tasks, artifact.result.events_dispatched);
   std::printf("  wall            %10.2f s\n", wall_s);
   std::printf("  estimation      %10.2f s\n", artifact.estimation_wall_s);
   std::printf("  peak RSS        %10.1f MB\n", rss_mb);
@@ -236,7 +220,6 @@ int run_month_scale(const std::string& mode, const std::string& predictor,
     }
     os << "{\"schema\":" << metrics::json_quote(kMonthSchema)
        << ",\"hardware_concurrency\":" << std::thread::hardware_concurrency()
-       << ",\"shards\":" << spec.shards
        << ",\"mode\":" << metrics::json_quote(mode)
        << ",\"predictor\":" << metrics::json_quote(spec.predictor)
        << ",\"jobs\":" << artifact.trace_jobs
@@ -341,11 +324,8 @@ std::string google_fixture() {
 
 /// Runs the matrix, restricted to metrics whose name contains `only` (empty
 /// = all). The CI obs-overhead A/B times `--only replay_hour` in an ON and
-/// an OFF build and compares the two JSON documents. `shards` applies to
-/// every metric that replays a scenario (results stay bit-identical; only
-/// wall time moves).
-std::vector<Metric> run_matrix(std::size_t reps, const std::string& only,
-                               std::uint32_t shards) {
+/// an OFF build and compares the two JSON documents.
+std::vector<Metric> run_matrix(std::size_t reps, const std::string& only) {
   std::vector<Metric> metrics;
   const auto want = [&only](const char* name) {
     return only.empty() || std::string(name).find(only) != std::string::npos;
@@ -431,9 +411,7 @@ std::vector<Metric> run_matrix(std::size_t reps, const std::string& only,
 
   // -- synthetic replay, serial (pooled workspace, replay only) --------------
   if (want("replay_hour_serial")) {
-    api::ScenarioSpec spec = hour_spec();
-    spec.shards = shards;
-    const api::ScenarioRunner runner(spec);
+    const api::ScenarioRunner runner(hour_spec());
     const auto trace = api::make_replay_trace(runner.spec().trace);
     api::RunHooks hooks;
     sim::ReplayWorkspace workspace;
@@ -455,10 +433,7 @@ std::vector<Metric> run_matrix(std::size_t reps, const std::string& only,
     api::BatchOptions options;
     options.threads = threads;
     const api::BatchRunner runner(options);
-    auto specs = grid_specs();
-    // The batch runner's oversubscription guard clamps per-run shards when
-    // batch threads x shards would exceed the machine.
-    for (auto& spec : specs) spec.shards = shards;
+    const auto specs = grid_specs();
     metrics.push_back(time_metric(name.str(), "jobs/s", reps, [&] {
       const auto artifacts = runner.run(specs);
       std::size_t jobs = 0;
@@ -484,7 +459,6 @@ std::vector<Metric> run_matrix(std::size_t reps, const std::string& only,
     if (want("replay_google_6h")) {
       api::ScenarioSpec spec = hour_spec();
       spec.name = "perf_google_replay";
-      spec.shards = shards;
       spec.trace.source = "google:" + fixture;
       const api::ScenarioRunner runner(spec);
       const auto trace = api::make_replay_trace(runner.spec().trace);
@@ -504,80 +478,10 @@ std::vector<Metric> run_matrix(std::size_t reps, const std::string& only,
   return metrics;
 }
 
-/// --shard-scaling: replays the pinned hour scenario at increasing shard
-/// counts and reports wall time + speedup relative to shards=1. The replay
-/// is bit-identical at every point (the house invariant), so the points
-/// measure pure replay wall time of the same work. On a 1-CPU container the
-/// artifact records the harness output honestly: speedups ~<= 1.0, with
-/// hardware_concurrency right next to them so readers can tell "no cores"
-/// from "no scaling".
-int run_shard_scaling(const std::string& json_path, std::size_t reps) {
-  std::vector<std::uint32_t> counts = {1, 2, 4};
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 4) counts.push_back(hw);
-
-  struct Point {
-    std::uint32_t shards;
-    double wall_ms;
-    double speedup;
-  };
-  std::vector<Point> points;
-
-  api::ScenarioSpec base = hour_spec();
-  base.name = "shard_scaling_hour";
-  const auto trace = api::make_replay_trace(base.trace);
-  const auto predictor =
-      api::PredictorRegistry::instance().make("grouped", trace);
-
-  std::printf("%-10s %12s %10s\n", "shards", "wall (ms)", "speedup");
-  double base_ms = 0.0;
-  for (const std::uint32_t k : counts) {
-    api::ScenarioSpec spec = base;
-    spec.shards = k;
-    const api::ScenarioRunner runner(spec);
-    api::RunHooks hooks;
-    sim::ReplayWorkspace workspace;
-    hooks.workspace = &workspace;
-    hooks.replay_trace = &trace;
-    hooks.predictor_override = predictor;
-    const Metric m = time_metric(
-        "shard_scaling", "events/s", reps,
-        [&] { return runner.run(hooks).result.events_dispatched; });
-    if (k == 1) base_ms = m.wall_ms;
-    const double speedup = m.wall_ms > 0.0 ? base_ms / m.wall_ms : 0.0;
-    points.push_back({k, m.wall_ms, speedup});
-    std::printf("%-10u %12.2f %9.2fx\n", k, m.wall_ms, speedup);
-  }
-
-  if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    os << "{\"schema\":" << metrics::json_quote(kShardScalingSchema)
-       << ",\"hardware_concurrency\":" << hw
-       << ",\"scenario\":" << metrics::json_quote(base.name)
-       << ",\"points\":[";
-    bool first = true;
-    for (const auto& p : points) {
-      if (!first) os << ",";
-      first = false;
-      os << "{\"shards\":" << p.shards
-         << ",\"wall_ms\":" << metrics::json_double(p.wall_ms)
-         << ",\"speedup\":" << metrics::json_double(p.speedup) << "}";
-    }
-    os << "]}\n";
-    std::cout << "# wrote " << json_path << "\n";
-  }
-  return 0;
-}
-
-void write_json(std::ostream& os, const std::vector<Metric>& metrics,
-                std::uint32_t shards) {
+void write_json(std::ostream& os, const std::vector<Metric>& metrics) {
   os << "{\"schema\":" << metrics::json_quote(kSchema)
      << ",\"hardware_concurrency\":" << std::thread::hardware_concurrency()
-     << ",\"shards\":" << shards << ",\"metrics\":[";
+     << ",\"metrics\":[";
   bool first = true;
   for (const auto& m : metrics) {
     if (!first) os << ",";
@@ -681,8 +585,6 @@ int main(int argc, char** argv) {
   double tolerance = 0.20;
   double max_rss_mb = 0.0;
   std::size_t reps = 5;
-  std::uint32_t shards = 1;
-  bool shard_scaling = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -709,12 +611,6 @@ int main(int argc, char** argv) {
       probe_csv_path = value();
     } else if (arg == "--only") {
       only = value();
-    } else if (arg == "--shards") {
-      shards = static_cast<std::uint32_t>(
-          std::strtoul(value().c_str(), nullptr, 10));
-      if (shards == 0) shards = 1;
-    } else if (arg == "--shard-scaling") {
-      shard_scaling = true;
     } else if (arg == "--max-rss-mb") {
       max_rss_mb = std::strtod(value().c_str(), nullptr);
     } else if (arg == "--tolerance") {
@@ -726,12 +622,10 @@ int main(int argc, char** argv) {
     } else if (arg == "-h" || arg == "--help") {
       std::cout << "usage: perf_baseline [--json OUT] [--check BASE] "
                    "[--update BASE] [--tolerance T] [--reps N] "
-                   "[--only SUBSTR] [--shards N]\n"
+                   "[--only SUBSTR]\n"
                    "       perf_baseline --month-scale streamed|materialized "
                    "[--predictor KEY] [--max-rss-mb M] [--json OUT] "
-                   "[--obs SPEC] [--probe-csv OUT] [--shards N]\n"
-                   "       perf_baseline --shard-scaling [--json OUT] "
-                   "[--reps N]\n";
+                   "[--obs SPEC] [--probe-csv OUT]\n";
       return 0;
     } else {
       std::cerr << "unknown flag " << arg << "\n";
@@ -742,15 +636,7 @@ int main(int argc, char** argv) {
   if (!month_mode.empty()) {
     register_custom_grouped();
     return run_month_scale(month_mode, month_predictor, max_rss_mb,
-                           json_path, obs_value, probe_csv_path, shards);
-  }
-  if (shard_scaling) {
-    if (!check_path.empty() || !update_path.empty() || shards != 1) {
-      std::cerr << "--shard-scaling sweeps shard counts itself; it cannot "
-                   "be combined with --check/--update/--shards\n";
-      return 2;
-    }
-    return run_shard_scaling(json_path, reps);
+                           json_path, obs_value, probe_csv_path);
   }
   if (!obs_value.empty() || !probe_csv_path.empty() ||
       !month_predictor.empty()) {
@@ -764,13 +650,8 @@ int main(int argc, char** argv) {
     std::cerr << "--only cannot be combined with --check\n";
     return 2;
   }
-  // The checked-in baseline is serial; a sharded run times different code.
-  if (shards != 1 && !check_path.empty()) {
-    std::cerr << "--shards cannot be combined with --check\n";
-    return 2;
-  }
 
-  const auto metrics = run_matrix(reps, only, shards);
+  const auto metrics = run_matrix(reps, only);
   if (metrics.empty()) {
     std::cerr << "--only '" << only << "' matched no metrics\n";
     return 2;
@@ -788,7 +669,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write " << json_path << "\n";
       return 2;
     }
-    write_json(os, metrics, shards);
+    write_json(os, metrics);
     std::cout << "# wrote " << json_path << "\n";
   }
   if (!update_path.empty()) {
@@ -797,7 +678,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write " << update_path << "\n";
       return 2;
     }
-    write_json(os, metrics, shards);
+    write_json(os, metrics);
     std::cout << "# baseline updated: " << update_path << "\n";
   }
   if (!check_path.empty()) {

@@ -96,20 +96,6 @@ std::vector<RunArtifact> BatchRunner::run(
   }
   if (threads > specs.size()) threads = specs.size();
 
-  // Worker-oversubscription guard: a spec may ask for sharded replay
-  // (shards=K spawns K-1 planning threads inside the run). With multiple
-  // batch workers, cap per-run shards so batch threads x shards stays
-  // within the machine; shard count never changes results, so the clamp is
-  // invisible in the artifacts (the spec echo keeps the requested value).
-  std::uint32_t shard_limit = hooks.shard_limit;
-  if (threads > 1) {
-    std::size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    const auto cap = static_cast<std::uint32_t>(
-        hw / threads > 1 ? hw / threads : 1);
-    if (shard_limit == 0 || cap < shard_limit) shard_limit = cap;
-  }
-
   TraceCache cache;
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
@@ -144,7 +130,6 @@ std::vector<RunArtifact> BatchRunner::run(
         // Always the worker's own pool: a caller-supplied workspace would be
         // shared across workers and race.
         run_hooks.workspace = &workspace;
-        run_hooks.shard_limit = shard_limit;
 
         // Streaming path: a per-worker stream cursor replaces the
         // whole-trace cache entry when the source actually streams lazily

@@ -21,6 +21,7 @@ namespace cloudcr::api {
 
 namespace {
 
+#if CLOUDCR_OBS_ENABLED
 /// Expands every "{name}" in an obs trace path to the scenario's name, so a
 /// batch of scenarios can share one obs= value without colliding on output.
 std::string expand_trace_path(std::string path, const std::string& name) {
@@ -31,6 +32,7 @@ std::string expand_trace_path(std::string path, const std::string& name) {
   }
   return path;
 }
+#endif
 
 /// Per-run tracer: owns the TraceWriter when the spec requests tracing,
 /// wires it into the SimConfig, and writes the JSON on finish(). In a build
@@ -237,11 +239,6 @@ RunArtifact ScenarioRunner::run_materialized(const RunHooks& hooks) const {
   config.length_predictor = hooks.length_predictor;
   config.scheduler = scheduler.get();
   config.tracer = tracer.get();
-  // A shard cap changes only the worker-thread budget, never results; the
-  // artifact's spec echo keeps the requested count.
-  if (hooks.shard_limit > 0 && config.shards > hooks.shard_limit) {
-    config.shards = hooks.shard_limit;
-  }
 
   RunArtifact artifact;
   artifact.spec = spec_;
@@ -321,9 +318,6 @@ RunArtifact ScenarioRunner::run_streamed(const RunHooks& hooks,
   config.length_predictor = hooks.length_predictor;
   config.scheduler = scheduler.get();
   config.tracer = tracer.get();
-  if (hooks.shard_limit > 0 && config.shards > hooks.shard_limit) {
-    config.shards = hooks.shard_limit;
-  }
 
   RunArtifact artifact;
   artifact.spec = spec_;

@@ -77,12 +77,6 @@ struct RunHooks {
   /// can never change results (pinned by tests/api/determinism_test.cpp).
   /// Not thread-safe: one workspace per concurrent run.
   sim::ReplayWorkspace* workspace = nullptr;
-
-  /// Upper bound on the spec's shard count for this run; 0 = no cap.
-  /// BatchRunner sets it so batch threads x per-run shards never
-  /// oversubscribes the machine. Clamping is safe because shard count
-  /// never changes results (the spec echo keeps the requested value).
-  std::uint32_t shard_limit = 0;
 };
 
 /// Materializes the unrestricted trace of `spec` (estimation view): the

@@ -228,7 +228,6 @@ std::string serialize(const ScenarioSpec& spec) {
      << "storage_noise=" << format_double(spec.storage_noise) << '\n'
      << "sim_seed=" << spec.sim_seed << '\n'
      << "detection_delay_s=" << format_double(spec.detection_delay_s) << '\n'
-     << "shards=" << spec.shards << '\n'
      << "cluster.hosts=" << spec.cluster.hosts << '\n'
      << "cluster.vms_per_host=" << spec.cluster.vms_per_host << '\n'
      << "cluster.vm_memory_mb=" << format_double(spec.cluster.vm_memory_mb)
@@ -285,12 +284,13 @@ ScenarioSpec parse_scenario(const std::string& text) {
     } else if (key == "detection_delay_s") {
       spec.detection_delay_s = parse_double(key, value);
     } else if (key == "shards") {
+      // Retired key: artifacts written while sharded replay existed carry
+      // it. Still validated so a malformed value fails as it always did.
       const std::uint64_t n = parse_u64(key, value);
       if (n < 1 || n > 4096) {
         throw std::invalid_argument("scenario key 'shards' = '" + value +
                                     "': must be in [1, 4096]");
       }
-      spec.shards = static_cast<std::uint32_t>(n);
     } else if (key == "cluster.hosts") {
       spec.cluster.hosts = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "cluster.vms_per_host") {
@@ -327,7 +327,7 @@ bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) noexcept {
          a.adaptation == b.adaptation && a.shared_device == b.shared_device &&
          a.storage_noise == b.storage_noise && a.sim_seed == b.sim_seed &&
          a.detection_delay_s == b.detection_delay_s &&
-         a.shards == b.shards && a.cluster.hosts == b.cluster.hosts &&
+         a.cluster.hosts == b.cluster.hosts &&
          a.cluster.vms_per_host == b.cluster.vms_per_host &&
          a.cluster.vm_memory_mb == b.cluster.vm_memory_mb && a.obs == b.obs;
 }
@@ -355,7 +355,6 @@ sim::SimConfig to_sim_config(const ScenarioSpec& spec) {
   cfg.storage_noise = spec.storage_noise;
   cfg.seed = spec.sim_seed;
   cfg.detection_delay_s = spec.detection_delay_s;
-  cfg.shards = spec.shards;
   cfg.probe_interval_s = spec.obs.probe_interval_s;
   cfg.collect_stats = spec.obs.stats;
   return cfg;

@@ -168,9 +168,6 @@ Stat svc_cache_hits("svc.cache_hits", StatKind::kCounter);
 Stat svc_cache_misses("svc.cache_misses", StatKind::kCounter);
 Stat svc_snapshot_resumes("svc.snapshot_resumes", StatKind::kCounter);
 Stat svc_snapshot_bytes("svc.snapshot_bytes", StatKind::kGauge);
-Stat shard_plans_requested("sim.shard.plans_requested", StatKind::kCounter);
-Stat shard_workers("sim.shard.workers", StatKind::kGauge);
-Stat shard_worker_plan_ns("sim.shard.worker_plan_ns", StatKind::kTimerNs);
 }  // namespace st
 
 }  // namespace cloudcr::obs

@@ -37,7 +37,6 @@
 #include "core/controller.hpp"
 #include "core/policy.hpp"
 #include "obs/hooks.hpp"
-#include "sim/ckpt_sequence.hpp"
 #include "sim/cluster.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
@@ -47,9 +46,6 @@
 #include "trace/records.hpp"
 
 namespace cloudcr::sim {
-
-class ShardRuntime;
-struct ContinuationPlan;
 
 /// Pull source of arrival-ordered jobs for the streaming replay
 /// (Simulation::run_stream). next_jobs appends up to `max_jobs` complete
@@ -209,7 +205,6 @@ class Simulation {
   /// \param workspace pooled buffers to (re)use; nullptr = own workspace
   Simulation(SimConfig config, const core::CheckpointPolicy& policy,
              StatsPredictor predictor, ReplayWorkspace* workspace = nullptr);
-  ~Simulation();  // out-of-line: ShardRuntime is incomplete here
 
   /// Replays the trace to completion and returns the aggregated result.
   SimResult run(const trace::Trace& trace);
@@ -243,8 +238,15 @@ class Simulation {
                           std::size_t batch_jobs = kDefaultBatchJobs);
 
  private:
-  // Wakeup lives in sim/ckpt_sequence.hpp now: plan results name the engine
-  // event they determined.
+  enum class Wakeup : std::uint8_t {
+    kKill,
+    kPriorityChange,
+    kCheckpointDue,
+    kCheckpointDone,
+    kRestoreDone,
+    kComplete,
+  };
+
   using JobState = ReplayWorkspace::JobState;
 
   // -- run skeleton ---------------------------------------------------------
@@ -355,27 +357,6 @@ class Simulation {
   void trace_vm_leave(std::size_t task_idx);
 #endif
 
-  // -- sharded replay ---------------------------------------------------------
-  // Active only when config_.shards > 1: the committing shard (this thread)
-  // publishes speculative plan requests to K-1 planning workers and consumes
-  // their results at the canonical serial commit points. Every consume has a
-  // bit-identical inline fallback, so shards=K == shards=1 by construction
-  // (pinned by tests/sim/shard_invariance_test.cpp).
-  /// Spawns the planning workers for this run (after begin_run).
-  void start_shard_runtime();
-  /// Flushes shard counters and joins the workers (end of run).
-  void stop_shard_runtime();
-  /// Seats `plan` (consumed or computed inline) into the task's columns.
-  void apply_controller_plan(std::size_t task_idx, ControllerPlan& plan);
-  /// Publishes a continuation plan for a just-armed checkpoint-due event
-  /// when the device qualifies (pure, no completion pricing, no tracer).
-  void maybe_publish_continuation(std::size_t task_idx, double fire_time);
-  /// The pure-device checkpoint-due commit: consumes the worker's plan (or
-  /// runs the same compressed sequence inline), replays the device-op
-  /// bookkeeping on the real backend, and schedules the determined event.
-  void commit_pure_ckpt_run(std::size_t task_idx,
-                            storage::StorageBackend& backend);
-
   // -- helpers ---------------------------------------------------------------
   /// Accrues active (and productive) time since the last sync.
   void sync_clock(std::size_t task_idx);
@@ -413,13 +394,6 @@ class Simulation {
   /// Streaming mode: recycle finished jobs' rows/slots (run_stream sets
   /// this; run keeps every row so borrowed records need no bookkeeping).
   bool release_rows_ = false;
-
-  // -- sharded-replay state ---------------------------------------------------
-  /// Planning workers; non-null only while a shards>1 run is in flight.
-  std::unique_ptr<ShardRuntime> shard_rt_;
-  /// Read-only environment the workers plan against; refreshed by begin_run
-  /// after the backends are rebuilt.
-  PlanEnv plan_env_;
 
   // -- scheduling-stage state (untouched when sched_active_ is false) --------
   bool sched_active_ = false;

@@ -34,7 +34,6 @@ ScenarioSpec exotic_spec() {
   spec.storage_noise = 0.1;
   spec.sim_seed = 0xabcdef;
   spec.detection_delay_s = 2.5;
-  spec.shards = 7;
   spec.cluster.hosts = 16;
   spec.cluster.vms_per_host = 4;
   spec.cluster.vm_memory_mb = 2048.0;
@@ -58,16 +57,15 @@ TEST(ScenarioSerialization, RoundTripsEveryField) {
   EXPECT_EQ(parsed.history.seed, 99u);
   EXPECT_DOUBLE_EQ(parsed.history.replay_max_task_length_s, 4000.0);
   EXPECT_EQ(parsed.placement, sim::PlacementMode::kForceLocal);
-  EXPECT_EQ(parsed.shards, 7u);
   EXPECT_EQ(parsed.cluster.hosts, 16u);
 }
 
+// `shards=` is a retired key: old artifacts carrying it still parse to the
+// same spec, serialize never writes it, and malformed values still throw.
 TEST(ScenarioSerialization, ShardsRoundTripAndBounds) {
-  ScenarioSpec spec;
-  spec.shards = 4096;  // upper bound is accepted
-  EXPECT_EQ(parse_scenario(serialize(spec)), spec);
-  // Unlisted key keeps the serial default — pre-sharding artifacts parse.
-  EXPECT_EQ(parse_scenario("name=old_artifact\n").shards, 1u);
+  const auto spec = exotic_spec();
+  EXPECT_EQ(parse_scenario(serialize(spec) + "shards=4096\n"), spec);
+  EXPECT_EQ(serialize(spec).find("shards="), std::string::npos);
   EXPECT_THROW((void)parse_scenario("shards=0"), std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("shards=4097"), std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("shards=-2"), std::invalid_argument);

@@ -129,6 +129,9 @@ TEST(ScenarioCacheKeyTest, KeyOrderInvariantAndSeedSensitive) {
   }
   EXPECT_EQ(scenario_cache_key(parse_scenario(reversed)),
             scenario_cache_key(spec));
+  // An old artifact's retired shards= line does not split the cache.
+  EXPECT_EQ(scenario_cache_key(parse_scenario(canon + "shards=4\n")),
+            scenario_cache_key(spec));
 
   ScenarioSpec other = spec;
   other.trace.seed = 42;

@@ -85,7 +85,9 @@ TEST(ProbeIntegration, SamplesLandOnTheCadence) {
     // Every tick is a positive multiple of the interval, strictly rising.
     const double ratio = probes[i].t_s / 1800.0;
     EXPECT_DOUBLE_EQ(ratio, static_cast<double>(static_cast<int>(ratio + 0.5)));
-    if (i > 0) EXPECT_GT(probes[i].t_s, probes[i - 1].t_s);
+    if (i > 0) {
+      EXPECT_GT(probes[i].t_s, probes[i - 1].t_s);
+    }
     EXPECT_GE(probes[i].cluster_util, 0.0);
     EXPECT_LE(probes[i].cluster_util, 1.0);
     // completed_jobs is monotone; the high-water mark never shrinks.

@@ -159,36 +159,5 @@ INSTANTIATE_TEST_SUITE_P(Pinned, GoldenReplay,
                            return std::string(info.param.spec.name);
                          });
 
-// Sharded replay against the SAME fixtures: shards is a wall-time knob,
-// never an output knob, so shards=2 must reproduce every pinned byte the
-// serial engine produces (the shard-count-invariance house property, at
-// its strictest — against fixtures captured before sharding existed).
-class GoldenReplaySharded : public ::testing::TestWithParam<GoldenCase> {};
-
-TEST_P(GoldenReplaySharded, Shards2MatchesFixtureByteForByte) {
-  if (update_mode()) {
-    GTEST_SKIP() << "fixtures are refreshed by the serial suite only";
-  }
-  GoldenCase c = GetParam();
-  c.spec.shards = 2;
-  const std::string actual = render(api::run_scenario(c.spec));
-  const std::string path = golden_path(c.file);
-
-  std::ifstream is(path, std::ios::binary);
-  ASSERT_TRUE(is) << "missing fixture " << path
-                  << " (run with CLOUDCR_UPDATE_GOLDEN=1 to create)";
-  std::ostringstream expected;
-  expected << is.rdbuf();
-  EXPECT_EQ(expected.str(), actual)
-      << "sharded replay diverged from the serial fixture (" << c.file
-      << ")";
-}
-
-INSTANTIATE_TEST_SUITE_P(Pinned, GoldenReplaySharded,
-                         ::testing::ValuesIn(golden_cases()),
-                         [](const auto& info) {
-                           return std::string(info.param.spec.name);
-                         });
-
 }  // namespace
 }  // namespace cloudcr

@@ -18,7 +18,6 @@
 #include <fstream>
 #include <random>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -186,33 +185,6 @@ TEST(SnapshotOverrideTest, FullSpanOverrideMatchesOverriddenSpec) {
   const ServiceReply reply = service.whatif(request);
 
   EXPECT_EQ(canonical_json(*reply.artifact), canonical_json(reference));
-}
-
-// Snapshots and sharded replay are mutually exclusive by contract: a
-// parked engine pins live planning state the snapshot format does not
-// carry, so a what-if against a shards>1 base must fail loudly — an
-// invalid_argument naming the scenario key to flip — rather than park a
-// snapshot that could not resume faithfully.
-TEST(SnapshotOverrideTest, ShardedBaseIsRejectedWithTheScenarioKey) {
-  GridParam p{11u, "fcfs"};
-  const SourcePoint synthetic{"synthetic", ""};
-
-  SimService service;
-  WhatIfRequest request;
-  request.base = make_spec(synthetic, p);
-  request.base.shards = 2;
-  request.fork_at = 900.0;
-  try {
-    (void)service.whatif(request);
-    FAIL() << "whatif on a shards=2 base should have thrown";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("shards=1"), std::string::npos)
-        << "message should name the scenario key: " << e.what();
-  }
-  // Plain (non-snapshot) service runs still accept sharded specs.
-  api::ScenarioSpec plain = make_spec(synthetic, p);
-  plain.shards = 2;
-  EXPECT_NO_THROW((void)service.run(plain));
 }
 
 // Distinct override combinations at one fork resume from the *same* parked
