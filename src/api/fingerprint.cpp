@@ -2,8 +2,6 @@
 
 #include <sys/stat.h>
 
-#include <sstream>
-
 #include "ingest/registry.hpp"
 #include "trace/generator.hpp"
 
@@ -20,15 +18,15 @@ bool file_backed_scheme(const std::string& scheme) {
 /// and size, so an edited log invalidates every cache keyed on it. A
 /// missing file fingerprints as absent — construction never touches the
 /// filesystem, so the error surfaces later from load().
-void append_file_identity(std::ostream& os, const std::string& arg) {
+void append_file_identity(std::string& out, const std::string& arg) {
   const std::string path = arg.substr(0, arg.find('?'));
-  os << "path=" << path;
+  out.append("path=").append(path);
   struct stat st = {};
   if (::stat(path.c_str(), &st) == 0) {
-    os << "|mtime=" << static_cast<long long>(st.st_mtime)
-       << "|size=" << static_cast<long long>(st.st_size);
+    append_int(out.append("|mtime="), static_cast<long long>(st.st_mtime));
+    append_int(out.append("|size="), static_cast<long long>(st.st_size));
   } else {
-    os << "|absent";
+    out += "|absent";
   }
 }
 
@@ -68,26 +66,25 @@ std::uint64_t fnv1a64(std::string_view s) noexcept {
 
 std::string trace_fingerprint(const TraceSpec& spec, bool restricted) {
   const ingest::SourceSpec parts = ingest::split_source_spec(spec.source);
-  std::ostringstream os;
-  os << (restricted ? "replay|" : "full|") << parts.scheme << '|';
+  std::string out = (restricted ? "replay|" : "full|") + parts.scheme + '|';
   if (file_backed_scheme(parts.scheme)) {
-    append_file_identity(os, parts.arg);
-    os << '|';
+    append_file_identity(out, parts.arg);
+    out += '|';
   }
-  os << shaping_fields(spec, parts.scheme, restricted);
-  return os.str();
+  out += shaping_fields(spec, parts.scheme, restricted);
+  return out;
 }
 
 std::string scenario_cache_key(const ScenarioSpec& spec) {
-  std::ostringstream os;
-  os << std::hex << fnv1a64(serialize(spec)) << std::dec << '|'
-     << fnv1a64(trace_fingerprint(spec.trace, true));
+  std::string key;
+  append_int(key, fnv1a64(serialize(spec)), 16);
+  append_int(key += '|', fnv1a64(trace_fingerprint(spec.trace, true)));
   if (spec.estimation == EstimationSource::kFull) {
-    os << '|' << fnv1a64(trace_fingerprint(spec.trace, false));
+    append_int(key += '|', fnv1a64(trace_fingerprint(spec.trace, false)));
   } else if (spec.estimation == EstimationSource::kHistory) {
-    os << '|' << fnv1a64(trace_fingerprint(spec.history, true));
+    append_int(key += '|', fnv1a64(trace_fingerprint(spec.history, true)));
   }
-  return os.str();
+  return key;
 }
 
 }  // namespace cloudcr::api

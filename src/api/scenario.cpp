@@ -1,9 +1,8 @@
 #include "api/scenario.hpp"
 
-#include <limits>
-#include <locale>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "trace/csv.hpp"
 
@@ -11,38 +10,12 @@ namespace cloudcr::api {
 
 namespace {
 
-std::string format_double(double v) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
 double parse_double(const std::string& key, const std::string& value) {
   return parse_checked_double("scenario key '" + key + "'", value);
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
   return parse_checked_u64("scenario key '" + key + "'", value);
-}
-
-/// The serializer is line-oriented, so free-form string values (name,
-/// policy, predictor) escape backslash and newline to keep the documented
-/// parse(serialize(s)) round-trip exact for every field.
-std::string escape_string(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 std::string unescape_string(const std::string& key, const std::string& s) {
@@ -69,22 +42,53 @@ bool parse_bool(const std::string& key, const std::string& value) {
                               "': malformed bool '" + value + "'");
 }
 
-void serialize_trace(std::ostream& os, const std::string& prefix,
-                     const TraceSpec& t) {
-  os << prefix << "source=" << escape_string(t.source) << '\n'
-     << prefix << "seed=" << t.seed << '\n'
-     << prefix << "horizon_s=" << format_double(t.horizon_s) << '\n'
-     << prefix << "arrival_rate=" << format_double(t.arrival_rate) << '\n'
-     << prefix << "max_jobs=" << t.max_jobs << '\n'
-     << prefix << "sample_job_filter="
-     << (t.sample_job_filter ? "true" : "false")
-     << '\n'
-     << prefix << "priority_change_midway="
-     << (t.priority_change_midway ? "true" : "false") << '\n'
-     << prefix << "long_service_fraction="
-     << format_double(t.long_service_fraction) << '\n'
-     << prefix << "replay_max_task_length_s="
-     << format_double(t.replay_max_task_length_s) << '\n';
+/// Appends `<prefix><name>=<value>` lines of the spec grammar to `out`.
+struct LineWriter {
+  std::string& out;
+  std::string_view prefix;
+
+  std::string& key(std::string_view name) {
+    return out.append(prefix).append(name) += '=';
+  }
+  /// The grammar is line-oriented, so free-form strings (name, policy,
+  /// predictor) escape backslash and newline to keep the documented
+  /// parse(serialize(s)) round-trip exact for every field.
+  void text(std::string_view name, std::string_view value) {
+    key(name);
+    for (const char c : value) {
+      if (c == '\\') {
+        out += "\\\\";
+      } else if (c == '\n') {
+        out += "\\n";
+      } else {
+        out += c;
+      }
+    }
+    out += '\n';
+  }
+  void flag(std::string_view name, bool value) {
+    text(name, value ? "true" : "false");
+  }
+  void real(std::string_view name, double value) {
+    append_double(key(name), value);
+    out += '\n';
+  }
+  void count(std::string_view name, std::uint64_t value) {
+    append_int(key(name), value);
+    out += '\n';
+  }
+};
+
+void serialize_trace(LineWriter w, const TraceSpec& t) {
+  w.text("source", t.source);
+  w.count("seed", t.seed);
+  w.real("horizon_s", t.horizon_s);
+  w.real("arrival_rate", t.arrival_rate);
+  w.count("max_jobs", t.max_jobs);
+  w.flag("sample_job_filter", t.sample_job_filter);
+  w.flag("priority_change_midway", t.priority_change_midway);
+  w.real("long_service_fraction", t.long_service_fraction);
+  w.real("replay_max_task_length_s", t.replay_max_task_length_s);
 }
 
 /// Applies one `key=value` pair to a TraceSpec; returns false if the key is
@@ -137,6 +141,14 @@ std::uint64_t parse_checked_u64(const std::string& label,
   } catch (const std::runtime_error& e) {
     throw std::invalid_argument(e.what());
   }
+}
+
+void append_double(std::string& out, double v) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general,
+                                std::numeric_limits<double>::max_digits10)
+                      .ptr);
 }
 
 const char* placement_token(sim::PlacementMode mode) noexcept {
@@ -211,29 +223,26 @@ EstimationSource parse_estimation(const std::string& token) {
 }
 
 std::string serialize(const ScenarioSpec& spec) {
-  std::ostringstream os;
-  // The classic locale keeps integer output free of grouping separators
-  // when the host program installed a named global locale.
-  os.imbue(std::locale::classic());
-  os << "name=" << escape_string(spec.name) << '\n';
-  serialize_trace(os, "trace.", spec.trace);
-  os << "policy=" << escape_string(spec.policy) << '\n'
-     << "predictor=" << escape_string(spec.predictor) << '\n'
-     << "sched=" << escape_string(spec.sched) << '\n'
-     << "estimation=" << estimation_token(spec.estimation) << '\n';
-  serialize_trace(os, "history.", spec.history);
-  os << "placement=" << placement_token(spec.placement) << '\n'
-     << "adaptation=" << adaptation_token(spec.adaptation) << '\n'
-     << "shared_device=" << device_token(spec.shared_device) << '\n'
-     << "storage_noise=" << format_double(spec.storage_noise) << '\n'
-     << "sim_seed=" << spec.sim_seed << '\n'
-     << "detection_delay_s=" << format_double(spec.detection_delay_s) << '\n'
-     << "cluster.hosts=" << spec.cluster.hosts << '\n'
-     << "cluster.vms_per_host=" << spec.cluster.vms_per_host << '\n'
-     << "cluster.vm_memory_mb=" << format_double(spec.cluster.vm_memory_mb)
-     << '\n'
-     << "obs=" << escape_string(obs::serialize_obs(spec.obs)) << '\n';
-  return os.str();
+  std::string out;
+  LineWriter w{out, ""};
+  w.text("name", spec.name);
+  serialize_trace({out, "trace."}, spec.trace);
+  w.text("policy", spec.policy);
+  w.text("predictor", spec.predictor);
+  w.text("sched", spec.sched);
+  w.text("estimation", estimation_token(spec.estimation));
+  serialize_trace({out, "history."}, spec.history);
+  w.text("placement", placement_token(spec.placement));
+  w.text("adaptation", adaptation_token(spec.adaptation));
+  w.text("shared_device", device_token(spec.shared_device));
+  w.real("storage_noise", spec.storage_noise);
+  w.count("sim_seed", spec.sim_seed);
+  w.real("detection_delay_s", spec.detection_delay_s);
+  w.count("cluster.hosts", spec.cluster.hosts);
+  w.count("cluster.vms_per_host", spec.cluster.vms_per_host);
+  w.real("cluster.vm_memory_mb", spec.cluster.vm_memory_mb);
+  w.text("obs", obs::serialize_obs(spec.obs));
+  return out;
 }
 
 ScenarioSpec parse_scenario(const std::string& text) {

@@ -12,7 +12,9 @@
 /// api::PredictorRegistry), so new strategies plug in without touching any
 /// call site.
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -155,6 +157,20 @@ auto with_key_context(const char* key, const std::string& value, Fn&& fn) {
     throw std::invalid_argument(std::string("scenario key '") + key +
                                 "' = '" + value + "': " + e.what());
   }
+}
+
+// -- canonical number formatting ---------------------------------------------
+// What serialize() and the cache keys write, via std::to_chars: no locale.
+
+/// Appends `v` as "%.17g" (max_digits10, so parse_checked_double reads back
+/// every bit), e.g. "0.080000000000000002", "-0", "inf".
+void append_double(std::string& out, double v);
+
+/// Appends the integer `v` as plain digits in `base` (lower-case hex).
+template <typename Int>
+void append_int(std::string& out, Int v, int base = 10) {
+  char buf[std::numeric_limits<Int>::digits + 2];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v, base).ptr);
 }
 
 // -- serialization -----------------------------------------------------------

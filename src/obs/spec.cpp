@@ -1,9 +1,9 @@
 #include "obs/spec.hpp"
 
 #include <cerrno>
-#include <cmath>
+#include <charconv>
 #include <cstdlib>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/trace_writer.hpp"
@@ -41,12 +41,12 @@ std::uint64_t parse_u64(const std::string& label, const std::string& text) {
   return static_cast<std::uint64_t>(v);
 }
 
-std::string format_double(double v) {
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+/// "%.17g", as api::append_double writes spec doubles.
+void append_double(std::string& out, double v) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 17)
+                      .ptr);
 }
 
 }  // namespace
@@ -58,39 +58,29 @@ bool enabled(const ObsSpec& spec) noexcept {
 
 std::string serialize_obs(const ObsSpec& spec) {
   const ObsSpec defaults;
-  std::ostringstream os;
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) os << '+';
-    first = false;
+  std::string out;
+  const auto feature = [&out](const char* name) -> std::string& {
+    if (!out.empty()) out += '+';
+    return out += name;
   };
-  if (spec.stats) {
-    sep();
-    os << "stats";
-  }
+  if (spec.stats) feature("stats");
   if (spec.probe_interval_s != defaults.probe_interval_s) {
-    sep();
-    os << "probe:" << format_double(spec.probe_interval_s);
+    append_double(feature("probe:"), spec.probe_interval_s);
   }
-  if (!spec.trace_path.empty()) {
-    sep();
-    os << "trace:" << spec.trace_path;
-  }
+  if (!spec.trace_path.empty()) feature("trace:") += spec.trace_path;
   if (spec.trace_window_begin_s != defaults.trace_window_begin_s ||
       spec.trace_window_end_s != defaults.trace_window_end_s) {
-    sep();
-    os << "window:" << format_double(spec.trace_window_begin_s) << '-'
-       << format_double(spec.trace_window_end_s);
+    append_double(feature("window:"), spec.trace_window_begin_s);
+    out += '-';
+    append_double(out, spec.trace_window_end_s);
   }
   if (!spec.trace_categories.empty()) {
-    sep();
-    os << "cats:" << spec.trace_categories;
+    feature("cats:") += spec.trace_categories;
   }
   if (spec.trace_ring != defaults.trace_ring) {
-    sep();
-    os << "ring:" << spec.trace_ring;
+    feature("ring:") += std::to_string(spec.trace_ring);
   }
-  return os.str();
+  return out;
 }
 
 ObsSpec parse_obs(const std::string& text) {

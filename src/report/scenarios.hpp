@@ -17,10 +17,7 @@
 /// preserved; absolute counts differ.
 
 #include <iosfwd>
-#include <limits>
-#include <locale>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,11 +98,8 @@ inline std::vector<api::ScenarioSpec> rl_scenario_pairs(
     // Exact round-trip format: the tag feeds the "grouped:<limit>" predictor
     // key, which must restrict estimation to the same length class as the
     // replay set (an int cast would silently truncate a non-integral RL).
-    std::ostringstream tag_os;
-    tag_os.imbue(std::locale::classic());
-    tag_os.precision(std::numeric_limits<double>::max_digits10);
-    tag_os << rl;
-    const std::string tag = tag_os.str();
+    std::string tag;
+    api::append_double(tag, rl);
     specs.push_back(
         scenario(prefix + "_f3_rl" + tag, tspec, "formula3", "grouped:" + tag));
     specs.push_back(

@@ -3,8 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -44,10 +42,9 @@ namespace {
 /// fork_at rendered like the spec grammar renders doubles, so a fork key
 /// is canonical.
 std::string format_fork(double fork_at) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << fork_at;
-  return os.str();
+  std::string out;
+  api::append_double(out, fork_at);
+  return out;
 }
 
 }  // namespace

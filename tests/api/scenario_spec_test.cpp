@@ -92,11 +92,53 @@ TEST(ScenarioSerialization, RoundTripsInfinityAndAwkwardDoubles) {
   spec.trace.replay_max_task_length_s =
       std::numeric_limits<double>::infinity();
   spec.trace.arrival_rate = 0.1 + 0.2;  // 0.30000000000000004
+  spec.trace.long_service_fraction = -0.0;
+  spec.storage_noise = 1e-310;  // subnormal
   spec.detection_delay_s = 1e-17;
   const auto parsed = parse_scenario(serialize(spec));
   EXPECT_TRUE(std::isinf(parsed.trace.replay_max_task_length_s));
   EXPECT_EQ(parsed.trace.arrival_rate, spec.trace.arrival_rate);
+  EXPECT_TRUE(std::signbit(parsed.trace.long_service_fraction));
+  EXPECT_EQ(parsed.storage_noise, spec.storage_noise);
   EXPECT_EQ(parsed.detection_delay_s, spec.detection_delay_s);
+
+  // The canonical bytes themselves: artifacts embed this text and the
+  // service's cache key hashes it, so the number format ("%.17g", no
+  // locale) is part of the contract, not just the round trip.
+  EXPECT_EQ(serialize(spec),
+            "name=\n"
+            "trace.source=synthetic\n"
+            "trace.seed=42\n"
+            "trace.horizon_s=86400\n"
+            "trace.arrival_rate=0.30000000000000004\n"
+            "trace.max_jobs=0\n"
+            "trace.sample_job_filter=true\n"
+            "trace.priority_change_midway=false\n"
+            "trace.long_service_fraction=-0\n"
+            "trace.replay_max_task_length_s=inf\n"
+            "policy=formula3\n"
+            "predictor=grouped\n"
+            "sched=fcfs\n"
+            "estimation=replay\n"
+            "history.source=synthetic\n"
+            "history.seed=42\n"
+            "history.horizon_s=86400\n"
+            "history.arrival_rate=0.11600000000000001\n"
+            "history.max_jobs=0\n"
+            "history.sample_job_filter=true\n"
+            "history.priority_change_midway=false\n"
+            "history.long_service_fraction=-1\n"
+            "history.replay_max_task_length_s=inf\n"
+            "placement=auto\n"
+            "adaptation=adaptive\n"
+            "shared_device=dm_nfs\n"
+            "storage_noise=9.9999999999999694e-311\n"
+            "sim_seed=24301\n"
+            "detection_delay_s=1.0000000000000001e-17\n"
+            "cluster.hosts=32\n"
+            "cluster.vms_per_host=7\n"
+            "cluster.vm_memory_mb=1024\n"
+            "obs=\n");
 }
 
 TEST(ScenarioSerialization, RoundTripsAwkwardStrings) {

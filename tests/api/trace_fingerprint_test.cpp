@@ -136,6 +136,10 @@ TEST(ScenarioCacheKeyTest, KeyOrderInvariantAndSeedSensitive) {
   ScenarioSpec other = spec;
   other.trace.seed = 42;
   EXPECT_NE(scenario_cache_key(other), scenario_cache_key(spec));
+
+  // The exact bytes: a hex hash of the spec text, then the decimal hash of
+  // the replay fingerprint.
+  EXPECT_EQ(scenario_cache_key(spec), "709ff653675b232f|13505852775174684166");
 }
 
 // Two specs pointing at the same file but spelled with different

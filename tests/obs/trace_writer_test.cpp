@@ -76,8 +76,9 @@ TEST(TraceWriter, RingEvictsOldestFirst) {
   opts.ring_capacity = 3;
   TraceWriter writer(opts);
   for (int i = 0; i < 5; ++i) {
-    writer.sim_instant(kJobPid, 1, "e" + std::to_string(i), kCatJob,
-                       static_cast<double>(i));
+    std::string name = "e";
+    name += std::to_string(i);
+    writer.sim_instant(kJobPid, 1, name, kCatJob, static_cast<double>(i));
   }
   EXPECT_EQ(writer.size(), 3u);
   EXPECT_EQ(writer.dropped(), 2u);
