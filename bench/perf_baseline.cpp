@@ -57,6 +57,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -164,16 +165,23 @@ int run_month_scale(const std::string& mode, const std::string& predictor,
   hooks.workspace = &workspace;
 
   const auto start = Clock::now();
-  const api::RunArtifact artifact = mode == "streamed"
-                                        ? runner.run_streamed(hooks)
-                                        : runner.run_materialized(hooks);
+  // The materialized mode generates the whole replay set up front and
+  // hands it to the runner as the caller's trace; the streamed mode pulls
+  // it from the spec's cursor.
+  std::optional<trace::Trace> replay;
+  if (mode == "materialized") {
+    replay = api::make_replay_trace(spec.trace);
+    hooks.replay_trace = &*replay;
+  }
+  const api::RunArtifact artifact = runner.run(hooks);
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - start).count();
 
   const double rss_mb = obs::peak_rss_mb();
   // The workspace is cleared at the *start* of a run, so after it the table
-  // sizes are the run's high-water marks: O(trace) for the materialized
-  // path, O(active + recycling pools) for the streaming path.
+  // sizes are the run's high-water marks: O(active + recycling pools) in
+  // both modes, since every replay recycles retired rows. The materialized
+  // mode's O(trace) footprint is the trace itself.
   const std::size_t task_rows = workspace.tasks.size();
   const std::size_t job_slots = workspace.jobs.size();
 

@@ -13,7 +13,6 @@
 #include "api/fingerprint.hpp"
 #include "api/registry.hpp"
 #include "api/scenario.hpp"
-#include "api/stream.hpp"
 
 namespace cloudcr::api {
 
@@ -130,17 +129,6 @@ std::vector<RunArtifact> BatchRunner::run(
         // Always the worker's own pool: a caller-supplied workspace would be
         // shared across workers and race.
         run_hooks.workspace = &workspace;
-
-        // Streaming path: a per-worker stream cursor replaces the
-        // whole-trace cache entry when the source actually streams lazily
-        // (otherwise the cache's memoized parse is the better deal).
-        if (options_.stream_traces && run_hooks.replay_trace == nullptr &&
-            spec_streams_lazily(spec.trace)) {
-          artifacts[i] = ScenarioRunner(spec).run_streamed(
-              run_hooks, options_.stream_batch_jobs);
-          report_progress(artifacts[i]);
-          continue;
-        }
 
         // Pin the shared traces this spec needs for the duration of the run.
         std::shared_ptr<const trace::Trace> replay, estimation;

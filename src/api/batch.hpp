@@ -31,18 +31,6 @@ struct BatchOptions {
   /// Memoize generated traces across specs with identical TraceSpecs.
   bool share_traces = true;
 
-  /// Stream lazily-streaming sources instead of caching whole traces: each
-  /// worker drives its own stream cursor (ScenarioRunner::run_streamed), so
-  /// batch memory is O(workers x active tasks) instead of O(distinct
-  /// traces). Results are bit-identical to the cached path (and serial ==
-  /// parallel still holds — cursors are per-run). Sources that cannot
-  /// stream lazily (event logs) keep using the shared trace cache, where
-  /// memoization actually saves repeated parses.
-  bool stream_traces = false;
-
-  /// Arrival-chunk size for the streaming path.
-  std::size_t stream_batch_jobs = 1024;
-
   /// Optional progress callback, invoked once per finished artifact (in
   /// completion order, under an internal mutex — callers need no locking)
   /// with the artifact, the number finished so far, and the batch size.

@@ -141,213 +141,130 @@ trace::Trace make_replay_trace(const TraceSpec& spec) {
 ScenarioRunner::ScenarioRunner(ScenarioSpec spec) : spec_(std::move(spec)) {}
 
 RunArtifact ScenarioRunner::run(const RunHooks& hooks) const {
-  // One entry point, two shapes: stream whenever the source yields jobs
-  // without materializing the workload (and nothing was pre-materialized
-  // by the caller), replay the whole trace otherwise. Bit-identical either
-  // way (tests/api/stream_determinism_test.cpp), so this only picks the
-  // memory/IO shape.
-  if (hooks.replay_trace == nullptr && spec_streams_lazily(spec_.trace)) {
-    return run_streamed(hooks);
-  }
-  return run_materialized(hooks);
-}
-
-RunArtifact ScenarioRunner::run_materialized(const RunHooks& hooks) const {
-  // The unrestricted trace of spec_.trace, generated at most once per run:
-  // both the replay set (restricted view) and kFull estimation derive from
-  // it, and generation is the expensive step.
-  std::size_t trace_reads = 0;
-  std::size_t rows_read = 0;
-  std::optional<trace::Trace> owned_full;
-  auto full_trace = [this, &owned_full, &trace_reads,
-                     &rows_read]() -> const trace::Trace& {
-    if (!owned_full) {
-      owned_full = make_trace(spec_.trace);
-      ++trace_reads;
-      rows_read += owned_full->task_count();
-    }
-    return *owned_full;
-  };
-
-  // Replay set: borrowed from the hooks or generated from the spec.
-  std::optional<trace::Trace> owned_replay;
-  const trace::Trace* replay = hooks.replay_trace;
-  if (replay == nullptr) {
-    if (std::isinf(spec_.trace.replay_max_task_length_s)) {
-      replay = &full_trace();
-    } else {
-      owned_replay = trace::restrict_length(
-          full_trace(), spec_.trace.replay_max_task_length_s);
-      replay = &*owned_replay;
-    }
-  }
-
-  // Predictor: override > hook trace > the spec's estimation source, fed
-  // through the PredictorBuilder observation contract. The builder only
-  // borrows each record during observe_job, so the estimation view needs
-  // no lifetime past finalize(): a kHistory trace is released before the
-  // replay starts, and a predictor that wants no observations (oracle)
-  // skips its estimation read entirely.
-  RunTracer tracer(spec_);
-  sim::StatsPredictor predictor = hooks.predictor_override;
-  double estimation_wall_s = 0.0;
-  if (!predictor) {
-    const auto est_start = std::chrono::steady_clock::now();
-    PredictorBuilderPtr builder =
-        with_key_context("predictor", spec_.predictor, [&] {
-          return PredictorRegistry::instance().make_builder(spec_.predictor);
-        });
-    if (builder->wants_observations()) {
-      if (hooks.estimation_trace != nullptr) {
-        observe_trace(*builder, *hooks.estimation_trace);
-      } else {
-        switch (spec_.estimation) {
-          case EstimationSource::kReplay:
-            observe_trace(*builder, *replay);
-            break;
-          case EstimationSource::kFull:
-            observe_trace(*builder, full_trace());
-            break;
-          case EstimationSource::kHistory: {
-            const trace::Trace history = make_replay_trace(spec_.history);
-            ++trace_reads;
-            rows_read += history.task_count();
-            observe_trace(*builder, history);
-            break;
-          }
-        }
-      }
-    }
-    predictor = with_key_context("predictor", spec_.predictor,
-                                 [&] { return builder->finalize(); });
-    const auto est_end = std::chrono::steady_clock::now();
-    estimation_wall_s =
-        std::chrono::duration<double>(est_end - est_start).count();
-    tracer.host_span("estimation", est_start, est_end);
-  }
-
-  // The policy and scheduler must outlive the Simulation (held by
-  // reference/pointer); they live on this frame for the whole replay.
-  const core::PolicyPtr policy = with_key_context(
-      "policy", spec_.policy,
-      [&] { return PolicyRegistry::instance().make(spec_.policy); });
-  const sched::SchedulerPtr scheduler = with_key_context(
-      "sched", spec_.sched,
-      [&] { return sched::SchedulerRegistry::instance().make(spec_.sched); });
-
-  sim::SimConfig config = to_sim_config(spec_);
-  config.length_predictor = hooks.length_predictor;
-  config.scheduler = scheduler.get();
-  config.tracer = tracer.get();
-
-  RunArtifact artifact;
-  artifact.spec = spec_;
-  artifact.trace_jobs = replay->job_count();
-  artifact.trace_tasks = replay->task_count();
-  artifact.estimation_wall_s = estimation_wall_s;
-  artifact.trace_reads = trace_reads;
-  artifact.rows_read = rows_read;
-
-  const auto start = std::chrono::steady_clock::now();
-  sim::Simulation simulation(std::move(config), *policy, std::move(predictor),
-                             hooks.workspace);
-  artifact.result = simulation.run(*replay);
-  artifact.wall_time_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  artifact.peak_rss_mb = obs::peak_rss_mb();
-  flush_api_timers(spec_, artifact.estimation_wall_s, artifact.wall_time_s);
-  tracer.finish();
-  return artifact;
+  return run_streamed(hooks);
 }
 
 RunArtifact ScenarioRunner::run_streamed(const RunHooks& hooks,
                                          std::size_t batch_jobs) const {
-  // A caller-materialized replay trace leaves nothing to stream.
-  if (hooks.replay_trace != nullptr) return run_materialized(hooks);
+  RunTracer tracer(spec_);
+  ParkedReplay parked;  // lives for this call only
+  RunArtifact artifact = replay(parked, hooks, batch_jobs, {}, tracer.get());
+  tracer.finish();
+  return artifact;
+}
 
+RunArtifact ScenarioRunner::run_parked(ParkedReplay& parked,
+                                       const sim::RunControl& control) const {
+  return replay(parked, {}, sim::Simulation::kDefaultBatchJobs, control,
+                nullptr);
+}
+
+RunArtifact ScenarioRunner::replay(ParkedReplay& parked, const RunHooks& hooks,
+                                   std::size_t batch_jobs,
+                                   const sim::RunControl& control,
+                                   obs::TraceWriter* tracer) const {
   // One cursor serves estimation and replay: a single-pass source is
   // parsed once and shared by both phases; a lazy source opens one
-  // bounded-memory pass per phase that touches it. Every predictor —
-  // builtin or registered — estimates through the PredictorBuilder
-  // observation contract, so nothing on this path materializes O(trace)
-  // memory for a lazy source.
-  RunTracer tracer(spec_);
-  SharedTraceCursor cursor(spec_.trace);
-  std::size_t history_reads = 0;
-  std::size_t history_rows = 0;
-  sim::StatsPredictor predictor = hooks.predictor_override;
-  double artifact_estimation_wall_s = 0.0;
-  if (!predictor) {
-    const auto est_start = std::chrono::steady_clock::now();
-    PredictorBuilderPtr builder =
-        with_key_context("predictor", spec_.predictor, [&] {
-          return PredictorRegistry::instance().make_builder(spec_.predictor);
-        });
-    if (builder->wants_observations()) {
-      const auto observe = [&builder](const trace::JobRecord& job) {
-        builder->observe_job(job);
-      };
-      if (hooks.estimation_trace != nullptr) {
-        observe_trace(*builder, *hooks.estimation_trace);
-      } else if (spec_.estimation == EstimationSource::kHistory) {
-        SharedTraceCursor history(spec_.history);
-        history.feed_estimation(/*replay_view=*/true, observe);
-        history_reads = history.reads();
-        history_rows = history.rows_read();
-      } else {
-        cursor.feed_estimation(
-            spec_.estimation == EstimationSource::kReplay, observe);
-      }
-    }
-    predictor = with_key_context("predictor", spec_.predictor,
-                                 [&] { return builder->finalize(); });
-    const auto est_end = std::chrono::steady_clock::now();
-    artifact_estimation_wall_s =
-        std::chrono::duration<double>(est_end - est_start).count();
-    tracer.host_span("estimation", est_start, est_end);
-  }
-
-  const core::PolicyPtr policy = with_key_context(
-      "policy", spec_.policy,
-      [&] { return PolicyRegistry::instance().make(spec_.policy); });
-  const sched::SchedulerPtr scheduler = with_key_context(
-      "sched", spec_.sched,
-      [&] { return sched::SchedulerRegistry::instance().make(spec_.sched); });
-  sim::SimConfig config = to_sim_config(spec_);
-  config.length_predictor = hooks.length_predictor;
-  config.scheduler = scheduler.get();
-  config.tracer = tracer.get();
+  // bounded-memory pass per phase that touches it. It is opened only when
+  // a phase reads it — up front when it feeds the replay, so a bad source
+  // is reported before any other key.
+  std::optional<SharedTraceCursor> cursor;
+  if (hooks.replay_trace == nullptr) cursor.emplace(spec_.trace);
 
   RunArtifact artifact;
   artifact.spec = spec_;
-  artifact.estimation_wall_s = artifact_estimation_wall_s;
+  if (!parked.simulation) {
+    // Predictor: override, or the spec's builder fed through the
+    // observation contract. The builder only borrows each record during
+    // observe_job, so no estimation view outlives finalize(), and a
+    // predictor that wants no observations (oracle) skips the pass.
+    sim::StatsPredictor predictor = hooks.predictor_override;
+    if (!predictor) {
+      const auto est_start = std::chrono::steady_clock::now();
+      PredictorBuilderPtr builder =
+          with_key_context("predictor", spec_.predictor, [&] {
+            return PredictorRegistry::instance().make_builder(spec_.predictor);
+          });
+      if (builder->wants_observations()) {
+        const auto observe = [&builder](const trace::JobRecord& job) {
+          builder->observe_job(job);
+        };
+        if (hooks.estimation_trace != nullptr) {
+          observe_trace(*builder, *hooks.estimation_trace);
+        } else if (spec_.estimation == EstimationSource::kHistory) {
+          SharedTraceCursor history(spec_.history);
+          history.feed_estimation(/*replay_view=*/true, observe);
+          artifact.trace_reads = history.reads();
+          artifact.rows_read = history.rows_read();
+        } else if (spec_.estimation == EstimationSource::kReplay &&
+                   hooks.replay_trace != nullptr) {
+          observe_trace(*builder, *hooks.replay_trace);
+        } else {
+          if (!cursor) cursor.emplace(spec_.trace);
+          cursor->feed_estimation(
+              spec_.estimation == EstimationSource::kReplay, observe);
+        }
+      }
+      predictor = with_key_context("predictor", spec_.predictor,
+                                   [&] { return builder->finalize(); });
+      const auto est_end = std::chrono::steady_clock::now();
+      artifact.estimation_wall_s =
+          std::chrono::duration<double>(est_end - est_start).count();
+      if (tracer != nullptr) {
+        tracer->host_span("estimation", est_start, est_end);
+      }
+    }
 
-  auto stream = cursor.open_replay_stream();
-  StreamJobSource source(*stream);
+    // The policy and scheduler must outlive the Simulation (held by
+    // reference/pointer); the parked replay keeps all three together.
+    parked.policy = with_key_context("policy", spec_.policy, [&] {
+      return PolicyRegistry::instance().make(spec_.policy);
+    });
+    parked.scheduler = with_key_context("sched", spec_.sched, [&] {
+      return sched::SchedulerRegistry::instance().make(spec_.sched);
+    });
+    sim::SimConfig config = to_sim_config(spec_);
+    config.length_predictor = hooks.length_predictor;
+    config.scheduler = parked.scheduler.get();
+    config.tracer = tracer;
+    parked.simulation = std::make_unique<sim::Simulation>(
+        std::move(config), *parked.policy, std::move(predictor),
+        hooks.workspace);
+  }
+
+  sim::Simulation& simulation = *parked.simulation;
   const auto start = std::chrono::steady_clock::now();
-  sim::Simulation simulation(std::move(config), *policy, std::move(predictor),
-                             hooks.workspace);
-  artifact.result = simulation.run_stream(source, batch_jobs);
+  if (hooks.replay_trace != nullptr) {
+    sim::TraceJobSource source(*hooks.replay_trace);
+    artifact.result = simulation.run_stream(source, batch_jobs, control);
+    artifact.trace_jobs = hooks.replay_trace->job_count();
+    artifact.trace_tasks = hooks.replay_trace->task_count();
+  } else {
+    auto stream = cursor->open_replay_stream();
+    StreamJobSource source(*stream);
+    artifact.result = simulation.run_stream(source, batch_jobs, control);
+    artifact.trace_jobs = source.jobs();
+    artifact.trace_tasks = source.tasks();
+    // A lazy cursor hands the replay stream off before its rows are pulled;
+    // a single-pass cursor already counted the parse.
+    if (cursor->streams_lazily()) artifact.rows_read += source.tasks();
+    // Recoverable row skips stay visible: results were computed on a
+    // partial workload (the report is complete once the stream is drained).
+    // One stderr line keeps stdout (bench tables, determinism diffs) clean.
+    if (stream->report().rows_skipped > 0) {
+      std::cerr << "warning: ingest skipped rows: "
+                << stream->report().summary() << "\n";
+    }
+  }
   artifact.wall_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   artifact.peak_rss_mb = obs::peak_rss_mb();
-  flush_api_timers(spec_, artifact.estimation_wall_s, artifact.wall_time_s);
-  tracer.finish();
-  artifact.trace_jobs = source.jobs();
-  artifact.trace_tasks = source.tasks();
-  artifact.trace_reads = cursor.reads() + history_reads;
-  // A lazy cursor hands the replay stream off before its rows are pulled;
-  // a single-pass cursor already counted the parse.
-  artifact.rows_read = cursor.rows_read() + history_rows +
-                       (cursor.streams_lazily() ? source.tasks() : 0);
-  // Recoverable row skips stay visible on the streaming path too (the
-  // report is complete once the stream is drained).
-  if (stream->report().rows_skipped > 0) {
-    std::cerr << "warning: ingest skipped rows: "
-              << stream->report().summary() << "\n";
+  if (cursor) {
+    artifact.trace_reads += cursor->reads();
+    artifact.rows_read += cursor->rows_read();
   }
+  flush_api_timers(spec_, artifact.estimation_wall_s, artifact.wall_time_s);
   return artifact;
 }
 

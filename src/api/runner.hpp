@@ -16,8 +16,11 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 
 #include "api/scenario.hpp"
+#include "core/policy.hpp"
+#include "sched/policy.hpp"
 #include "sim/result.hpp"
 #include "sim/simulation.hpp"
 #include "trace/records.hpp"
@@ -45,9 +48,9 @@ struct RunArtifact {
   /// isolated footprint.
   double peak_rss_mb = 0.0;
   /// Passes over trace sources this run performed (estimation + replay;
-  /// history counts too). A streamed single-pass source serves both phases
-  /// from 1; a lazy source pays 1 per phase that touches it; 0 when every
-  /// trace came in via hooks.
+  /// history counts too). A single-pass source serves both phases from 1;
+  /// a lazy source pays 1 per phase that touches it; 0 when every trace
+  /// came in via hooks.
   std::size_t trace_reads = 0;
   /// Task rows those passes produced (post-processed view). The one-cursor
   /// path halves this relative to two independent reads.
@@ -89,6 +92,16 @@ trace::Trace make_trace(const TraceSpec& spec);
 /// replay_max_task_length_s.
 trace::Trace make_replay_trace(const TraceSpec& spec);
 
+/// A replay kept alive between ScenarioRunner::run_parked calls, so a later
+/// call can resume the snapshot an earlier one captured. Everything the
+/// parked Simulation borrows by reference or raw pointer lives here; it is
+/// declared last, so it is destroyed first.
+struct ParkedReplay {
+  core::PolicyPtr policy;
+  sched::SchedulerPtr scheduler;
+  std::unique_ptr<sim::Simulation> simulation;  ///< built on first use
+};
+
 /// Runs one scenario. Deterministic: the artifact depends only on the spec
 /// (and hooks), never on thread schedule or host state.
 class ScenarioRunner {
@@ -97,36 +110,39 @@ class ScenarioRunner {
 
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
 
-  /// Runs the scenario, picking the replay shape automatically: the
-  /// streaming path whenever the spec's source streams lazily
-  /// (spec_streams_lazily) and no caller-materialized replay trace was
-  /// handed in; the materialized path otherwise. The two paths are
-  /// bit-identical (pinned by tests/api/stream_determinism_test.cpp), so
-  /// the choice only moves the memory/IO shape, never results. Reusable
-  /// and const: each call builds a fresh Simulation.
+  /// Runs the scenario: run_streamed at the default chunk size.
   [[nodiscard]] RunArtifact run(const RunHooks& hooks = {}) const;
 
-  /// Classic whole-trace replay: materializes the replay set (or borrows
-  /// hooks.replay_trace) and feeds the spec's estimation view to the
-  /// predictor builder from the materialized trace.
-  [[nodiscard]] RunArtifact run_materialized(const RunHooks& hooks = {}) const;
-
-  /// Streaming replay of the same scenario, bit-identical to
-  /// run_materialized(): the replay set is pulled chunk-by-chunk and
-  /// admitted lazily (sim::Simulation::run_stream), never materialized,
-  /// and *every* predictor — builtin or registered — estimates through the
-  /// PredictorBuilder observation contract fed from a SharedTraceCursor
-  /// (oracle skips the estimation pass entirely; single-pass sources serve
-  /// estimation and replay from one parse). With a lazily-streaming source
-  /// memory is therefore bounded by the active task set for any predictor,
-  /// which is what lets a month-scale trace replay in a fixed footprint.
-  /// hooks.replay_trace delegates to run_materialized() — a
-  /// caller-materialized trace has nothing left to stream.
+  /// Runs the scenario through the one replay loop
+  /// (sim::Simulation::run_stream). The replay source is hooks.replay_trace
+  /// through sim::TraceJobSource, or else the spec's SharedTraceCursor,
+  /// pulled chunk by chunk. Every predictor — builtin or registered —
+  /// estimates through the PredictorBuilder observation contract: from
+  /// hooks.estimation_trace when set, a history cursor for
+  /// estimation=history, the caller's replay trace in place for
+  /// estimation=replay, and the spec's cursor otherwise (oracle skips the
+  /// pass). The spec's source is resolved only when a phase reads it, so a
+  /// lazily-streaming source replays in memory bounded by the active task
+  /// set for any predictor. Reusable and const: each call builds a fresh
+  /// Simulation.
   [[nodiscard]] RunArtifact run_streamed(
       const RunHooks& hooks = {},
       std::size_t batch_jobs = sim::Simulation::kDefaultBatchJobs) const;
 
+  /// run_streamed into a replay that outlives the call, under `control`
+  /// (snapshot capture or resume). The first call on `parked` estimates
+  /// and builds its Simulation; later calls reuse it and skip estimation,
+  /// so a resume must follow the capture on the same ParkedReplay. Parked
+  /// runs take no hooks and stay untraced: SimConfig::tracer lives inside
+  /// the parked Simulation and would dangle on the next call.
+  [[nodiscard]] RunArtifact run_parked(ParkedReplay& parked,
+                                       const sim::RunControl& control) const;
+
  private:
+  RunArtifact replay(ParkedReplay& parked, const RunHooks& hooks,
+                     std::size_t batch_jobs, const sim::RunControl& control,
+                     obs::TraceWriter* tracer) const;
+
   ScenarioSpec spec_;
 };
 

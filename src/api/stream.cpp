@@ -134,11 +134,6 @@ ingest::StreamPtr open_trace_stream(const TraceSpec& spec, bool replay_view) {
       source->open_stream(), spec.sample_job_filter, spec.max_jobs, limit);
 }
 
-bool spec_streams_lazily(const TraceSpec& spec) {
-  if (spec.source == "synthetic") return true;
-  return make_spec_source(spec)->streams_lazily();
-}
-
 // -- SharedTraceCursor -------------------------------------------------------
 
 SharedTraceCursor::SharedTraceCursor(const TraceSpec& spec) : spec_(spec) {

@@ -3,7 +3,7 @@
 /// \file stream.hpp
 /// \brief Streaming view of a TraceSpec: the pull-based counterpart of
 /// api::make_trace / api::make_replay_trace, plus the shared estimation+
-/// replay cursor the streaming runner feeds predictors from.
+/// replay cursor ScenarioRunner feeds predictors and the replay from.
 ///
 /// open_trace_stream() resolves the spec's source (the synthetic generator
 /// or the ingest registry) to an ingest::TaskStream and applies the spec's
@@ -33,11 +33,11 @@
 /// the counts per source kind.
 ///
 /// Whether the replay stream is also memory-bounded depends on the source
-/// (surfaced here as spec_streams_lazily): synthetic workloads generate on
+/// (SharedTraceCursor::streams_lazily): synthetic workloads generate on
 /// demand; event logs chunk the materialized parse, releasing each consumed
 /// job. StreamJobSource bridges the stream onto the simulator's
 /// sim::JobSource seam and counts what passed through, which is how the
-/// streaming runner fills the artifact's replay-set shape.
+/// runner fills the artifact's replay-set shape.
 
 #include <cstddef>
 #include <functional>
@@ -57,11 +57,6 @@ namespace cloudcr::api {
 /// make_trace on structural failure (unknown sources report the
 /// "scenario key 'trace.source'" context).
 ingest::StreamPtr open_trace_stream(const TraceSpec& spec, bool replay_view);
-
-/// True when the spec's source yields jobs without materializing the whole
-/// workload (streaming replay then bounds memory by the active set).
-/// ScenarioRunner::run uses this to pick the streaming path.
-bool spec_streams_lazily(const TraceSpec& spec);
 
 /// One estimation-then-replay pass over a TraceSpec's source, counting how
 /// many source passes ("reads") and task rows that took (contract above).

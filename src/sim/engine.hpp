@@ -95,7 +95,8 @@ class Engine {
   /// (pending callbacks, slot generations, seq counter, calendar tuning).
   /// Queued callbacks capture raw pointers (`this`, backends), so a
   /// snapshot may only be restored into the very object graph that took
-  /// it — Simulation::resume_stream enforces that contract.
+  /// it — Simulation::run_stream's RunControl::resume_from enforces that
+  /// contract.
   struct Snapshot {
     EventQueue queue;
     double now = 0.0;
@@ -114,9 +115,6 @@ class Engine {
     queue_ = snap.queue.clone();
     now_ = snap.now;
   }
-
-  /// Pre-sizes the queue for `n` concurrent events.
-  void reserve(std::size_t n) { queue_.reserve(n); }
 
  private:
   [[noreturn]] static void throw_bad_schedule(const char* what);

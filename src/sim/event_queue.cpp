@@ -133,11 +133,6 @@ void EventQueue::rebuild(std::size_t n_buckets) {
   }
 }
 
-void EventQueue::reserve(std::size_t n) {
-  slots_.reserve(n);
-  scratch_.reserve(n);
-}
-
 void EventQueue::reset_tuning() noexcept {
   buckets_.resize(kMinBuckets);
   width_ = 1.0;

@@ -24,8 +24,8 @@
 ///    invisible to results, pinned by tests/sim/event_queue_property_test.cpp
 ///    (randomized churn against a reference std::multimap).
 ///
-/// All storage is reusable: clear()/reserve() let a pooled simulation replay
-/// traces with zero steady-state allocation.
+/// All storage is reusable: clear() keeps capacity, so a pooled simulation
+/// replays traces with zero steady-state allocation.
 
 #include <algorithm>
 #include <cmath>
@@ -222,9 +222,6 @@ class EventQueue {
     }
     return {top.time, std::move(fn)};
   }
-
-  /// Pre-sizes the slot slab for `n` concurrent events.
-  void reserve(std::size_t n);
 
   /// Drops every pending event; capacity is retained for reuse.
   void clear() noexcept;

@@ -58,7 +58,6 @@ void Simulation::begin_run() {
                                           config_.storage_noise,
                                           config_.cluster.hosts);
   result_ = SimResult{};
-  release_rows_ = false;
   policy_override_ = nullptr;
 
   // The scheduling stage engages only for a non-pass-through policy; fcfs
@@ -272,12 +271,10 @@ void Simulation::retire_job(std::uint32_t job_slot) {
     CLOUDCR_OBS_STMT(tally_.rows_recycled += job.n_tasks);
   }
   job.owned.clear();  // releases each record's failure-date storage
-  job.task_recs = nullptr;
   ws_.free_jobs.push_back(job_slot);
 }
 
-void Simulation::admit_job(const trace::JobRecord& rec,
-                           trace::JobRecord* owned) {
+void Simulation::admit_job(trace::JobRecord&& rec) {
   const std::uint32_t slot = alloc_job_slot();
   JobState& job = ws_.jobs[slot];
   job.id = rec.id;
@@ -291,15 +288,10 @@ void Simulation::admit_job(const trace::JobRecord& rec,
   job.backfilled = false;
   job.done = false;
   job.active = true;
-  if (owned != nullptr) {
-    job.owned = std::move(owned->tasks);
-    job.task_recs = job.owned.data();
-  } else {
-    job.task_recs = rec.tasks.data();
-  }
+  job.owned = std::move(rec.tasks);
   job.first_task = alloc_task_span(job.n_tasks);
   for (std::size_t i = 0; i < job.n_tasks; ++i) {
-    tasks_.init_row(job.first_task + i, job.task_recs[i], slot);
+    tasks_.init_row(job.first_task + i, job.owned[i], slot);
   }
   // The arrival itself counts as one dispatched event, as it did when every
   // arrival was a queued engine event.
@@ -318,61 +310,52 @@ void Simulation::admit_job(const trace::JobRecord& rec,
   sched_pump();
 }
 
-SimResult Simulation::run(const trace::Trace& trace) {
-  begin_run();
-  const std::size_t n_tasks = trace.task_count();
-  ws_.jobs.reserve(trace.jobs.size());
-  tasks_.reserve(n_tasks);
-  ws_.pending.reserve(n_tasks);
-  engine_.reserve(n_tasks + 64);
-  result_.outcomes.reserve(trace.jobs.size());
-
-  // Admission order: stable by arrival — exactly the pop order of the old
-  // engine, which scheduled every arrival event up front (time order, ties
-  // in trace order). Real sources emit arrival-sorted jobs, so the common
-  // case is the identity permutation and skips the sort (and its scratch
-  // allocation) entirely; only hand-crafted unsorted traces pay it.
+TraceJobSource::TraceJobSource(const trace::Trace& trace) : trace_(trace) {
+  // Real sources emit arrival-sorted jobs, so the common case is the
+  // identity order and skips the sort (and its index array) entirely; only
+  // hand-crafted unsorted traces pay it.
+  const auto& jobs = trace.jobs;
   const bool sorted = std::is_sorted(
-      trace.jobs.begin(), trace.jobs.end(),
+      jobs.begin(), jobs.end(),
       [](const trace::JobRecord& a, const trace::JobRecord& b) {
         return a.arrival_s < b.arrival_s;
       });
-  if (!sorted) {
-    ws_.admission_order.resize(trace.jobs.size());
-    for (std::size_t j = 0; j < trace.jobs.size(); ++j) {
-      ws_.admission_order[j] = static_cast<std::uint32_t>(j);
-    }
-    std::stable_sort(
-        ws_.admission_order.begin(), ws_.admission_order.end(),
-        [&trace](std::uint32_t a, std::uint32_t b) {
-          return trace.jobs[a].arrival_s < trace.jobs[b].arrival_s;
-        });
+  if (sorted) return;
+  order_.resize(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    order_[j] = static_cast<std::uint32_t>(j);
   }
-
-#if CLOUDCR_OBS_ENABLED
-  const auto obs_adm_t0 = std::chrono::steady_clock::now();
-#endif
-  for (std::size_t j = 0; j < trace.jobs.size(); ++j) {
-    const trace::JobRecord& rec =
-        trace.jobs[sorted ? j : ws_.admission_order[j]];
-    if (config_.probe_interval_s > 0.0) pump_probes_before(rec.arrival_s);
-    result_.events_dispatched += engine_.run_until_before(rec.arrival_s);
-    engine_.advance_to(rec.arrival_s);
-    admit_job(rec, nullptr);
-  }
-#if CLOUDCR_OBS_ENABLED
-  if (config_.tracer != nullptr) {
-    config_.tracer->host_span("admission", obs_adm_t0,
-                              std::chrono::steady_clock::now());
-  }
-#endif
-  return end_run();
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&jobs](std::uint32_t a, std::uint32_t b) {
+                     return jobs[a].arrival_s < jobs[b].arrival_s;
+                   });
 }
 
-SimResult Simulation::run_stream(JobSource& source, std::size_t batch_jobs) {
-  begin_run();
-  release_rows_ = true;  // finish_job recycles rows, incl. in the final drain
+SimResult Simulation::run(const trace::Trace& trace) {
+  TraceJobSource source(trace);
+  return run_stream(source);
+}
+
+SimResult Simulation::run_stream(JobSource& source, std::size_t batch_jobs,
+                                 const RunControl& control) {
+  // A resume re-enters the loop at its fork point: the source replays the
+  // whole trace deterministically, so the jobs the snapshot already
+  // admitted are discarded. They still count in the caller's source
+  // accounting, so trace_jobs/trace_tasks match a full run.
+  std::uint64_t to_skip = 0;
+  if (control.resume_from != nullptr) {
+    restore_snapshot(*control.resume_from);
+    policy_override_ = control.overrides.policy;
+    if (control.overrides.detection_delay_s) {
+      config_.detection_delay_s = *control.overrides.detection_delay_s;
+    }
+    to_skip = control.resume_from->jobs_admitted;
+  } else {
+    begin_run();
+  }
   if (batch_jobs == 0) batch_jobs = 1;
+  std::uint64_t admitted = to_skip;
+  bool taken = control.capture == nullptr;
 #if CLOUDCR_OBS_ENABLED
   const auto obs_adm_t0 = std::chrono::steady_clock::now();
 #endif
@@ -381,12 +364,27 @@ SimResult Simulation::run_stream(JobSource& source, std::size_t batch_jobs) {
     if (source.next_jobs(batch_jobs, ws_.chunk) == 0) break;
     CLOUDCR_OBS_STMT(++tally_.stream_batches);
     for (auto& rec : ws_.chunk) {
+      if (to_skip > 0) {
+        --to_skip;
+        continue;
+      }
+      // Capture at the arrival boundary, before this record's engine drain:
+      // a resume re-enters the loop at exactly this point. Capturing only
+      // copies state, so the ongoing run is not perturbed.
+      if (!taken && rec.arrival_s >= control.fork_at) {
+        capture_snapshot(*control.capture, admitted);
+        taken = true;
+      }
       if (config_.probe_interval_s > 0.0) pump_probes_before(rec.arrival_s);
       result_.events_dispatched += engine_.run_until_before(rec.arrival_s);
       engine_.advance_to(rec.arrival_s);
-      admit_job(rec, &rec);
+      admit_job(std::move(rec));
+      ++admitted;
     }
   }
+  // A fork beyond the last arrival snapshots the fully-admitted state; the
+  // resumed run then only replays the final drain.
+  if (!taken) capture_snapshot(*control.capture, admitted);
 #if CLOUDCR_OBS_ENABLED
   if (config_.tracer != nullptr) {
     config_.tracer->host_span("admission", obs_adm_t0,
@@ -394,7 +392,7 @@ SimResult Simulation::run_stream(JobSource& source, std::size_t batch_jobs) {
   }
 #endif
   SimResult result = end_run();
-  release_rows_ = false;
+  policy_override_ = nullptr;
   return result;
 }
 
@@ -496,17 +494,15 @@ void Simulation::restore_snapshot(const SimSnapshot& snap) {
   local_backend_->restore_state(snap.local_backend);
   shared_backend_->restore_state(snap.shared_backend);
   pending_min_mb_ = snap.pending_min_mb;
-  // The jobs-vector copy relocated each owned record span: re-point the
-  // spans and the task rows of live jobs. Retired slots cleared their
-  // records (init_row re-points recycled rows at admission).
-  for (auto& job : ws_.jobs) {
-    if (!job.active || job.owned.empty()) continue;
-    job.task_recs = job.owned.data();
+  // The jobs-vector copy relocated each job's record buffer: re-point the
+  // task rows of live jobs. Retired slots cleared their records (init_row
+  // re-points recycled rows at admission).
+  for (const auto& job : ws_.jobs) {
+    if (!job.active) continue;
     for (std::size_t i = 0; i < job.n_tasks; ++i) {
       tasks_.rec[job.first_task + i] = &job.owned[i];
     }
   }
-  release_rows_ = true;  // snapshots exist only on the streaming path
   sched_active_ =
       config_.scheduler != nullptr && !config_.scheduler->pass_through();
   total_capacity_mb_ = static_cast<double>(config_.cluster.hosts) *
@@ -533,75 +529,6 @@ void Simulation::restore_snapshot(const SimSnapshot& snap) {
   trace_task_start_.clear();
   trace_vm_start_.clear();
 #endif
-}
-
-SimResult Simulation::run_stream_snapshot(JobSource& source, double fork_at,
-                                          SimSnapshot& out,
-                                          std::size_t batch_jobs) {
-  begin_run();
-  release_rows_ = true;
-  if (batch_jobs == 0) batch_jobs = 1;
-  std::uint64_t admitted = 0;
-  bool taken = false;
-  while (true) {
-    ws_.chunk.clear();
-    if (source.next_jobs(batch_jobs, ws_.chunk) == 0) break;
-    CLOUDCR_OBS_STMT(++tally_.stream_batches);
-    for (auto& rec : ws_.chunk) {
-      // Capture at the arrival boundary, before this record's engine drain:
-      // resume_stream re-enters the loop at exactly this point. Capturing
-      // only copies state, so the ongoing run is not perturbed.
-      if (!taken && rec.arrival_s >= fork_at) {
-        capture_snapshot(out, admitted);
-        taken = true;
-      }
-      if (config_.probe_interval_s > 0.0) pump_probes_before(rec.arrival_s);
-      result_.events_dispatched += engine_.run_until_before(rec.arrival_s);
-      engine_.advance_to(rec.arrival_s);
-      admit_job(rec, &rec);
-      ++admitted;
-    }
-  }
-  // A fork beyond the last arrival snapshots the fully-admitted state; the
-  // resumed run then only replays the final drain.
-  if (!taken) capture_snapshot(out, admitted);
-  SimResult result = end_run();
-  release_rows_ = false;
-  return result;
-}
-
-SimResult Simulation::resume_stream(const SimSnapshot& snap, JobSource& source,
-                                    const ResumeOverrides& overrides,
-                                    std::size_t batch_jobs) {
-  restore_snapshot(snap);
-  policy_override_ = overrides.policy;
-  if (overrides.detection_delay_s) {
-    config_.detection_delay_s = *overrides.detection_delay_s;
-  }
-  if (batch_jobs == 0) batch_jobs = 1;
-  // The source replays the whole trace deterministically; discard the jobs
-  // the snapshot already admitted. Discarded records still count in the
-  // caller's source accounting, so trace_jobs/trace_tasks match a full run.
-  std::uint64_t to_skip = snap.jobs_admitted;
-  while (true) {
-    ws_.chunk.clear();
-    if (source.next_jobs(batch_jobs, ws_.chunk) == 0) break;
-    CLOUDCR_OBS_STMT(++tally_.stream_batches);
-    for (auto& rec : ws_.chunk) {
-      if (to_skip > 0) {
-        --to_skip;
-        continue;
-      }
-      if (config_.probe_interval_s > 0.0) pump_probes_before(rec.arrival_s);
-      result_.events_dispatched += engine_.run_until_before(rec.arrival_s);
-      engine_.advance_to(rec.arrival_s);
-      admit_job(rec, &rec);
-    }
-  }
-  SimResult result = end_run();
-  release_rows_ = false;
-  policy_override_ = nullptr;
-  return result;
 }
 
 void Simulation::on_job_arrival(std::size_t job_idx) {
@@ -646,7 +573,7 @@ void Simulation::push_pending(std::size_t task_idx) {
 
 void Simulation::init_controller(std::size_t task_idx) {
   const trace::TaskRecord& rec = *tasks_.rec[task_idx];
-  // resume_stream's what-if policy applies to dispatches after the fork;
+  // A resumed run's what-if policy applies to dispatches after the fork;
   // everywhere else the override is null and this is the ctor-bound policy.
   const core::CheckpointPolicy& policy =
       policy_override_ != nullptr ? *policy_override_ : policy_;
@@ -1082,7 +1009,7 @@ void Simulation::finish_job(std::uint32_t job_slot) {
   metrics::JobOutcome out;
   out.job_id = job.id;
   out.bag_of_tasks = job.structure == trace::JobStructure::kBagOfTasks;
-  out.priority = job.n_tasks == 0 ? 1 : job.task_recs[0].priority;
+  out.priority = job.n_tasks == 0 ? 1 : job.owned[0].priority;
   out.wallclock_s = engine_.now() - job.arrival_s;
   out.unschedulable_tasks = job.unschedulable;
   out.sched_wait_s = job.sched_wait_s;
@@ -1092,7 +1019,7 @@ void Simulation::finish_job(std::uint32_t job_slot) {
     const std::size_t t = job.first_task + i;
     const TaskAccounting& acct = tasks_.acct[t];
     // Run-level totals accumulate here (integer sums, order-independent):
-    // in the streaming mode the rows are about to be recycled.
+    // the rows are about to be recycled.
     result_.total_checkpoints += acct.checkpoints;
     result_.total_failures += acct.failures;
     if (tasks_.hot[t].phase == TaskPhase::kUnschedulable) continue;
@@ -1117,7 +1044,7 @@ void Simulation::finish_job(std::uint32_t job_slot) {
     config_.tracer->sim_span(obs::kJobPid, job.id, "job", obs::kCatJob,
                              job.arrival_s, engine_.now());
   });
-  if (release_rows_) retire_job(job_slot);
+  retire_job(job_slot);
 
   if (sched_active_) {
     result_.total_sched_wait_s += out.sched_wait_s;
@@ -1144,7 +1071,7 @@ void Simulation::sched_enqueue(std::uint32_t job_slot) {
   p.id = job.id;
   p.slot = job_slot;
   p.arrival_s = job.arrival_s;
-  p.priority = job.n_tasks == 0 ? 1 : job.task_recs[0].priority;
+  p.priority = job.n_tasks == 0 ? 1 : job.owned[0].priority;
 
   // Aggregate demand and the runtime estimate (the backfill wall): a bag of
   // tasks runs in parallel (sum of memory, max of lengths), a sequential job
@@ -1153,7 +1080,7 @@ void Simulation::sched_enqueue(std::uint32_t job_slot) {
   double demand = 0.0;
   double estimate = 0.0;
   for (std::size_t i = 0; i < job.n_tasks; ++i) {
-    const trace::TaskRecord& rec = job.task_recs[i];
+    const trace::TaskRecord& rec = job.owned[i];
     const double len = config_.length_predictor
                            ? std::max(1.0, config_.length_predictor(rec))
                            : rec.length_s;

@@ -47,7 +47,7 @@
 
 namespace cloudcr::sim {
 
-/// Pull source of arrival-ordered jobs for the streaming replay
+/// Pull source of arrival-ordered jobs for the replay
 /// (Simulation::run_stream). next_jobs appends up to `max_jobs` complete
 /// JobRecords (each owning its TaskRecords) to `out` in non-decreasing
 /// arrival order and returns the number appended; 0 means exhausted.
@@ -60,6 +60,30 @@ class JobSource {
                                 std::vector<trace::JobRecord>& out) = 0;
 };
 
+/// JobSource over a materialized trace: yields copies of its jobs, stably
+/// sorted by arrival (ties keep trace order) — exactly the pop order of an
+/// engine that schedules every arrival event up front. The trace must
+/// outlive the source.
+class TraceJobSource final : public JobSource {
+ public:
+  explicit TraceJobSource(const trace::Trace& trace);
+
+  std::size_t next_jobs(std::size_t max_jobs,
+                        std::vector<trace::JobRecord>& out) override {
+    std::size_t n = 0;
+    for (; n < max_jobs && next_ < trace_.jobs.size(); ++n, ++next_) {
+      out.push_back(trace_.jobs[order_.empty() ? next_ : order_[next_]]);
+    }
+    return n;
+  }
+
+ private:
+  const trace::Trace& trace_;
+  /// Job indices in arrival order; empty when the trace already is sorted.
+  std::vector<std::uint32_t> order_;
+  std::size_t next_ = 0;
+};
+
 /// Pooled replay buffers: the task/job tables, the pending queue, and the
 /// event engine (whose slab and heap dominate transient memory). A default
 /// instance lives inside each Simulation; passing a shared workspace to the
@@ -68,20 +92,17 @@ class JobSource {
 /// change results.
 ///
 /// After a run the table sizes are readable high-water marks (they are
-/// cleared at the *start* of the next run): a materialized replay peaks at
-/// O(trace) rows, a streaming replay at O(active tasks) — the month-scale
-/// perf benchmark reports exactly these counters.
+/// cleared at the *start* of the next run): every replay recycles finished
+/// jobs' rows, so they peak at O(active tasks), not O(trace) — the
+/// month-scale perf benchmark reports exactly these counters.
 struct ReplayWorkspace {
   TaskTable tasks;
 
   /// Per-job replay state. The job's constant scalars are copied in at
-  /// admission and its TaskRecords are either borrowed from the caller's
-  /// trace (run) or owned by the slot itself (run_stream) — either way
-  /// `task_recs` stays valid while the job is live, including across
-  /// jobs-vector growth (moving the owning vector does not move its heap
-  /// buffer).
+  /// admission and its TaskRecords are moved into the slot (`owned`); the
+  /// task rows point into that buffer, which stays put across jobs-vector
+  /// growth (moving the owning vector does not move its heap buffer).
   struct JobState {
-    const trace::TaskRecord* task_recs = nullptr;  ///< the job's task span
     std::uint32_t n_tasks = 0;
     std::uint64_t id = 0;
     double arrival_s = 0.0;
@@ -93,10 +114,9 @@ struct ReplayWorkspace {
     double sched_wait_s = 0.0;  ///< scheduler hold time (0 under fcfs)
     bool backfilled = false;    ///< released ahead of an earlier arrival
     bool done = false;
-    /// Admitted and not yet retired. Slots of finished jobs are inactive in
-    /// both modes; the streaming mode additionally recycles them.
+    /// Admitted and not yet retired (finished jobs' slots are recycled).
     bool active = false;
-    /// Streaming mode: the records themselves (moved out of the chunk).
+    /// The job's records, moved out of the arrival chunk.
     std::vector<trace::TaskRecord> owned;
   };
   std::vector<JobState> jobs;
@@ -106,7 +126,7 @@ struct ReplayWorkspace {
 
   Engine engine;
 
-  // -- streaming-replay recycling ---------------------------------------------
+  // -- row recycling ----------------------------------------------------------
   /// Job slots retired by finished jobs, reusable LIFO.
   std::vector<std::uint32_t> free_jobs;
   /// Retired task-table spans, grouped by span length (jobs of the same
@@ -115,23 +135,22 @@ struct ReplayWorkspace {
   std::map<std::uint32_t, std::vector<std::uint32_t>> free_spans;
   /// Arrival buffer: the current chunk pulled from the JobSource.
   std::vector<trace::JobRecord> chunk;
-  /// Admission order for run(): job indices stably sorted by arrival.
-  std::vector<std::uint32_t> admission_order;
 };
 
-/// Frozen mid-run state of a *streaming* replay, taken at an arrival
-/// boundary: the engine (clock + cloned event queue), every workspace
-/// table, the cluster index, the RNG, both storage-backend states, the
-/// scheduler queues, probe cursors, and the partial result. Together with
-/// the count of already-consumed source jobs this is everything a resumed
-/// run needs to continue bit-identically to a replay from zero — the
-/// snapshot==replay house invariant (tests/svc/snapshot_identity_test.cpp).
+/// Frozen mid-run state of a replay, taken at an arrival boundary: the
+/// engine (clock + cloned event queue), every workspace table, the cluster
+/// index, the RNG, both storage-backend states, the scheduler queues, probe
+/// cursors, and the partial result. Together with the count of
+/// already-consumed source jobs this is everything a resumed run needs to
+/// continue bit-identically to a replay from zero — the snapshot==replay
+/// house invariant (tests/svc/snapshot_identity_test.cpp).
 ///
 /// A snapshot is bound to the Simulation instance that captured it: queued
 /// callbacks and task rows hold raw pointers to that instance and its
-/// storage backends, so Simulation::resume_stream must be called on the
-/// same object (which must not have started any other run in between).
-/// One snapshot supports any number of sequential resumes.
+/// storage backends, so a run resuming it (RunControl::resume_from) must
+/// use the same object (which must not have started any other run from
+/// zero in between). One snapshot supports any number of sequential
+/// resumes.
 struct SimSnapshot {
   Engine::Snapshot engine;
   TaskTable tasks;
@@ -156,7 +175,7 @@ struct SimSnapshot {
   SimResult result;
   /// Base detection delay at capture (resume overrides may replace it).
   double detection_delay_s = 0.0;
-  /// Source jobs consumed before the fork point; resume_stream re-opens
+  /// Source jobs consumed before the fork point; a resumed run re-opens
   /// the (deterministic) source and discards exactly this many jobs.
   std::uint64_t jobs_admitted = 0;
   /// Engine time when the snapshot was taken.
@@ -180,62 +199,58 @@ struct ResumeOverrides {
   std::optional<double> detection_delay_s;
 };
 
-/// Replays one trace under one policy. run() is reusable: every call resets
-/// the workspace, cluster, RNG, and storage backends, so consecutive runs
-/// are bit-identical to fresh constructions.
+/// Snapshot out and what-if in for Simulation::run_stream. The default
+/// (both pointers null) is a plain replay from zero.
+struct RunControl {
+  /// Non-null: captures the run into *capture just before admitting the
+  /// first job whose arrival is at or beyond `fork_at` (or after the last
+  /// admission when no such job exists). Capturing only copies state, so
+  /// the run's result is unchanged.
+  SimSnapshot* capture = nullptr;
+  double fork_at = 0.0;
+  /// Non-null: restarts from this snapshot instead of from zero, against a
+  /// *fresh* source over the same trace (its first jobs_admitted jobs are
+  /// discarded), applying `overrides` from the fork onward. With empty
+  /// overrides the result is bit-identical to the run that took it.
+  const SimSnapshot* resume_from = nullptr;
+  ResumeOverrides overrides;
+};
+
+/// Replays one trace under one policy. Runs are reusable: every run from
+/// zero resets the workspace, cluster, RNG, and storage backends, so
+/// consecutive runs are bit-identical to fresh constructions.
 ///
-/// Arrivals are admitted *lazily* in both entry points: the engine drains
+/// run_stream holds the one admission loop. It pulls arrival-ordered jobs
+/// from a JobSource in chunks and admits them *lazily*: the engine drains
 /// events up to the next arrival instant, then injects the job at its own
 /// timestamp (Engine::run_until_before / advance_to), which reproduces the
 /// ordering of scheduling every arrival event up front — arrivals win ties
-/// against dynamically scheduled events, in job order. run() feeds the
-/// admission loop from a materialized trace (borrowed records, rows kept
-/// until the end); run_stream() pulls chunks from a JobSource and retires
-/// finished jobs' rows, so steady-state memory is O(active tasks) +
-/// O(chunk), not O(trace). The two paths share the entire replay core and
-/// are bit-identical (pinned by tests/api/stream_determinism_test.cpp).
+/// against dynamically scheduled events, in job order. Finished jobs' rows
+/// are recycled, so steady-state memory is O(active tasks) + O(chunk), not
+/// O(trace). run() feeds the same loop from a materialized trace through
+/// TraceJobSource, so the two are bit-identical by construction.
 class Simulation {
  public:
   /// Default arrival-chunk size for run_stream.
   static constexpr std::size_t kDefaultBatchJobs = 1024;
 
   /// \param config    simulation parameters
-  /// \param policy    checkpoint-interval policy (must outlive run())
+  /// \param policy    checkpoint-interval policy (must outlive every run)
   /// \param predictor failure-statistics source for controllers
   /// \param workspace pooled buffers to (re)use; nullptr = own workspace
   Simulation(SimConfig config, const core::CheckpointPolicy& policy,
              StatsPredictor predictor, ReplayWorkspace* workspace = nullptr);
 
-  /// Replays the trace to completion and returns the aggregated result.
+  /// Replays the trace to completion: run_stream over a TraceJobSource.
   SimResult run(const trace::Trace& trace);
 
-  /// Streaming replay: pulls arrival-ordered jobs from `source` in batches
-  /// of `batch_jobs`, admits each at its arrival instant, and recycles
-  /// finished jobs' table rows. Bit-identical to run() over the
-  /// materialized equivalent of the same job sequence.
+  /// Replays `source` to completion, pulling `batch_jobs` jobs per chunk.
+  /// `control` optionally captures a snapshot at its fork point or resumes
+  /// from one (RunControl); a resume must be called on the Simulation that
+  /// captured the snapshot.
   SimResult run_stream(JobSource& source,
-                       std::size_t batch_jobs = kDefaultBatchJobs);
-
-  /// run_stream that additionally captures `out` just before admitting the
-  /// first job whose arrival is at or beyond `fork_at` (or after the last
-  /// admission when no such job exists). The returned result is
-  /// bit-identical to a plain run_stream — capturing only copies state.
-  /// Only the streaming path supports snapshots: the materialized run()
-  /// borrows the caller's trace records, which a snapshot cannot pin.
-  SimResult run_stream_snapshot(JobSource& source, double fork_at,
-                                SimSnapshot& out,
-                                std::size_t batch_jobs = kDefaultBatchJobs);
-
-  /// Resumes a captured run from its fork point against a *fresh* JobSource
-  /// over the same trace (the first SimSnapshot::jobs_admitted jobs are
-  /// consumed and discarded to reach the fork). With empty overrides the
-  /// result is bit-identical to the run that took the snapshot; overrides
-  /// apply from the fork onward. Must be called on the Simulation instance
-  /// that captured `snap`, before any other run() / run_stream() on it;
-  /// sequential resumes from one snapshot are fine.
-  SimResult resume_stream(const SimSnapshot& snap, JobSource& source,
-                          const ResumeOverrides& overrides = {},
-                          std::size_t batch_jobs = kDefaultBatchJobs);
+                       std::size_t batch_jobs = kDefaultBatchJobs,
+                       const RunControl& control = {});
 
  private:
   enum class Wakeup : std::uint8_t {
@@ -250,7 +265,7 @@ class Simulation {
   using JobState = ReplayWorkspace::JobState;
 
   // -- run skeleton ---------------------------------------------------------
-  /// Resets all pooled state; shared by both entry points.
+  /// Resets all pooled state for a run from zero.
   void begin_run();
   /// Copies every mutable column; the controller column is rebuilt by copy
   /// construction (CheckpointController's policy reference deletes its copy
@@ -259,21 +274,20 @@ class Simulation {
   /// Copies the full mid-run state into `out` (read-only; the running
   /// simulation is not perturbed).
   void capture_snapshot(SimSnapshot& out, std::uint64_t jobs_admitted) const;
-  /// Rewinds this simulation to `snap`, re-pointing the record spans that
-  /// the jobs-vector copy relocated. Leaves the engine ready to continue
-  /// the admission loop from the fork point.
+  /// Rewinds this simulation to `snap`, re-pointing the task rows at the
+  /// record buffers the jobs-vector copy relocated. Leaves the engine ready
+  /// to continue the admission loop from the fork point.
   void restore_snapshot(const SimSnapshot& snap);
   /// Finishes the run: drains the engine, sweeps still-active jobs, and
   /// returns the result.
   SimResult end_run();
-  /// Admits one job at the current engine time. `owned` non-null moves the
-  /// record's tasks into the slot (streaming); null borrows them (the
-  /// caller's trace outlives the run).
-  void admit_job(const trace::JobRecord& rec, trace::JobRecord* owned);
+  /// Admits one job at the current engine time, moving the record's tasks
+  /// into the job slot.
+  void admit_job(trace::JobRecord&& rec);
   [[nodiscard]] std::uint32_t alloc_job_slot();
   [[nodiscard]] std::size_t alloc_task_span(std::uint32_t n_tasks);
-  /// Streaming mode: returns a finished job's rows and slot to the free
-  /// pools and drops its owned records.
+  /// Returns a finished job's rows and slot to the free pools and drops its
+  /// records.
   void retire_job(std::uint32_t job_slot);
 
   // -- event plumbing -------------------------------------------------------
@@ -371,7 +385,7 @@ class Simulation {
 
   SimConfig config_;
   const core::CheckpointPolicy& policy_;
-  /// Non-null only inside resume_stream: init_controller consults it so a
+  /// Non-null only in a resumed run: init_controller consults it so a
   /// what-if fork can swap the policy for post-fork dispatches without
   /// reseating the reference above. Cleared by begin_run.
   const core::CheckpointPolicy* policy_override_ = nullptr;
@@ -390,10 +404,6 @@ class Simulation {
   /// Smallest memory demand among pending tasks (+inf when none): lets
   /// try_dispatch reject a sweep in O(1) while the cluster is saturated.
   double pending_min_mb_ = 0.0;
-
-  /// Streaming mode: recycle finished jobs' rows/slots (run_stream sets
-  /// this; run keeps every row so borrowed records need no bookkeeping).
-  bool release_rows_ = false;
 
   // -- scheduling-stage state (untouched when sched_active_ is false) --------
   bool sched_active_ = false;

@@ -22,8 +22,8 @@
 ///
 /// All columns are cleared-but-not-freed between runs, so a pooled workspace
 /// replays trace after trace with no steady-state allocation. Rows are
-/// (re)initialized via init_row, which lets the streaming replay recycle a
-/// retired job's span for a newly admitted one.
+/// (re)initialized via init_row, which lets the replay recycle a retired
+/// job's span for a newly admitted one.
 
 #include <cstdint>
 #include <limits>
@@ -140,23 +140,6 @@ struct TaskTable {
     acct.clear();
   }
 
-  void reserve(std::size_t n) {
-    hot.reserve(n);
-    pending_event.reserve(n);
-    vm.reserve(n);
-    last_failed_host.reserve(n);
-    memory_mb.reserve(n);
-    length_s.reserve(n);
-    priority.reserve(n);
-    job.reserve(n);
-    rec.reserve(n);
-    controller.reserve(n);
-    backend.reserve(n);
-    ckpt_price.reserve(n);
-    restart_price_s.reserve(n);
-    acct.reserve(n);
-  }
-
   /// Grows every column to `n` rows (values are set by init_row; a row is
   /// never read before it is initialized).
   void resize(std::size_t n) {
@@ -177,8 +160,8 @@ struct TaskTable {
   }
 
   /// (Re)initializes row `idx` from its trace record — used both for fresh
-  /// rows and for rows recycled from a retired job's span (streaming
-  /// replay), so it must reset *every* column.
+  /// rows and for rows recycled from a retired job's span, so it must
+  /// reset *every* column.
   void init_row(std::size_t idx, const trace::TaskRecord& record,
                 std::uint32_t job_idx) {
     HotRow& h = hot[idx];

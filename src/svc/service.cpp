@@ -1,7 +1,6 @@
 #include "svc/service.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -9,26 +8,17 @@
 #include "api/batch.hpp"
 #include "api/fingerprint.hpp"
 #include "api/registry.hpp"
-#include "api/stream.hpp"
 #include "obs/hooks.hpp"
-#include "obs/probe.hpp"
-#include "sched/registry.hpp"
 #include "sim/simulation.hpp"
 
 namespace cloudcr::svc {
 
-/// A parked what-if engine: everything the resumed replay borrows by
-/// reference or raw pointer lives here, so the SimSnapshot's captured
-/// callbacks stay valid for the entry's whole lifetime. Member order
-/// matters: the Simulation borrows the policy, scheduler, and workspace,
-/// so it is declared after them — destruction runs in reverse declaration
-/// order, tearing the Simulation down first.
+/// A parked what-if engine: the replay holds everything the resumed run
+/// borrows by reference or raw pointer, so the SimSnapshot's captured
+/// callbacks stay valid for the entry's whole lifetime.
 struct SimService::ForkEntry {
   api::ScenarioSpec base;
-  core::PolicyPtr policy;
-  sched::SchedulerPtr scheduler;
-  std::unique_ptr<sim::ReplayWorkspace> workspace;
-  std::unique_ptr<sim::Simulation> simulation;
+  api::ParkedReplay replay;
   sim::SimSnapshot snapshot;
   bool ready = false;  ///< base run captured; guarded by mu
   /// snapshot.approx_bytes() once ready. Atomic so stats() can sum parked
@@ -49,73 +39,14 @@ std::string format_fork(double fork_at) {
 
 }  // namespace
 
-/// Runs the base scenario of `entry` through the streaming replay,
-/// capturing the snapshot at `fork_at` into the entry. Mirrors
-/// api::ScenarioRunner::run_streamed (same cursor, predictor, and
-/// accounting contract) with the Simulation parked in the entry instead
-/// of on the stack.
+/// Runs the base scenario of `entry` through the runner's replay, parking
+/// the Simulation in the entry and capturing the snapshot at `fork_at`.
 api::RunArtifact SimService::capture_base_run(ForkEntry& entry,
                                               double fork_at) {
-  const api::ScenarioSpec& spec = entry.base;
-  api::SharedTraceCursor cursor(spec.trace);
-  std::size_t history_reads = 0;
-  std::size_t history_rows = 0;
-  sim::StatsPredictor predictor;
-  {
-    api::PredictorBuilderPtr builder =
-        api::with_key_context("predictor", spec.predictor, [&] {
-          return api::PredictorRegistry::instance().make_builder(
-              spec.predictor);
-        });
-    if (builder->wants_observations()) {
-      const auto observe = [&builder](const trace::JobRecord& job) {
-        builder->observe_job(job);
-      };
-      if (spec.estimation == api::EstimationSource::kHistory) {
-        api::SharedTraceCursor history(spec.history);
-        history.feed_estimation(/*replay_view=*/true, observe);
-        history_reads = history.reads();
-        history_rows = history.rows_read();
-      } else {
-        cursor.feed_estimation(
-            spec.estimation == api::EstimationSource::kReplay, observe);
-      }
-    }
-    predictor = api::with_key_context("predictor", spec.predictor,
-                                      [&] { return builder->finalize(); });
-  }
-
-  entry.policy = api::with_key_context("policy", spec.policy, [&] {
-    return api::PolicyRegistry::instance().make(spec.policy);
-  });
-  entry.scheduler = api::with_key_context("sched", spec.sched, [&] {
-    return sched::SchedulerRegistry::instance().make(spec.sched);
-  });
-  sim::SimConfig config = api::to_sim_config(spec);
-  config.scheduler = entry.scheduler.get();
-
-  api::RunArtifact artifact;
-  artifact.spec = spec;
-
-  auto stream = cursor.open_replay_stream();
-  api::StreamJobSource source(*stream);
-  entry.workspace = std::make_unique<sim::ReplayWorkspace>();
-  const auto start = std::chrono::steady_clock::now();
-  entry.simulation = std::make_unique<sim::Simulation>(
-      std::move(config), *entry.policy, std::move(predictor),
-      entry.workspace.get());
-  artifact.result =
-      entry.simulation->run_stream_snapshot(source, fork_at, entry.snapshot);
-  artifact.wall_time_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  artifact.peak_rss_mb = obs::peak_rss_mb();
-  artifact.trace_jobs = source.jobs();
-  artifact.trace_tasks = source.tasks();
-  artifact.trace_reads = cursor.reads() + history_reads;
-  artifact.rows_read = cursor.rows_read() + history_rows +
-                       (cursor.streams_lazily() ? source.tasks() : 0);
-  return artifact;
+  sim::RunControl control;
+  control.capture = &entry.snapshot;
+  control.fork_at = fork_at;
+  return api::ScenarioRunner(entry.base).run_parked(entry.replay, control);
 }
 
 /// Replays the post-fork suffix of `entry` against a fresh pass over the
@@ -124,34 +55,16 @@ api::RunArtifact SimService::capture_base_run(ForkEntry& entry,
 api::RunArtifact SimService::resume_run(ForkEntry& entry,
                                         const WhatIfRequest& request) {
   core::PolicyPtr override_policy;
-  sim::ResumeOverrides overrides;
+  sim::RunControl control;
+  control.resume_from = &entry.snapshot;
   if (!request.policy.empty()) {
     override_policy = api::with_key_context("policy", request.policy, [&] {
       return api::PolicyRegistry::instance().make(request.policy);
     });
-    overrides.policy = override_policy.get();
+    control.overrides.policy = override_policy.get();
   }
-  overrides.detection_delay_s = request.detection_delay_s;
-
-  api::SharedTraceCursor cursor(entry.base.trace);
-  auto stream = cursor.open_replay_stream();
-  api::StreamJobSource source(*stream);
-
-  api::RunArtifact artifact;
-  artifact.spec = entry.base;
-  const auto start = std::chrono::steady_clock::now();
-  artifact.result =
-      entry.simulation->resume_stream(entry.snapshot, source, overrides);
-  artifact.wall_time_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  artifact.peak_rss_mb = obs::peak_rss_mb();
-  artifact.trace_jobs = source.jobs();
-  artifact.trace_tasks = source.tasks();
-  artifact.trace_reads = cursor.reads();
-  artifact.rows_read =
-      cursor.rows_read() + (cursor.streams_lazily() ? source.tasks() : 0);
-  return artifact;
+  control.overrides.detection_delay_s = request.detection_delay_s;
+  return api::ScenarioRunner(entry.base).run_parked(entry.replay, control);
 }
 
 SimService::SimService(ServiceOptions options) : options_(options) {

@@ -17,9 +17,10 @@
 ///   - A what-if request (base spec + fork_at + overrides) resumes from a
 ///     parked engine snapshot instead of replaying from zero. The first
 ///     what-if against a (base, fork_at) pair runs the base scenario once
-///     through sim::Simulation::run_stream_snapshot, parks the Simulation
-///     plus its sim::SimSnapshot, and banks the base artifact; every later
-///     what-if at that fork only replays the post-fork suffix. With empty
+///     through api::ScenarioRunner::run_parked with a snapshot capture,
+///     parks the Simulation plus its sim::SimSnapshot, and banks the base
+///     artifact; every later what-if at that fork resumes the same parked
+///     replay and only replays the post-fork suffix. With empty
 ///     overrides the resumed artifact is byte-identical to a replay from
 ///     zero — the snapshot==replay house invariant, pinned by
 ///     tests/svc/snapshot_identity_test.cpp.
@@ -151,7 +152,7 @@ class SimService {
   /// Sum of parked snapshot footprints; caller holds mu_.
   [[nodiscard]] std::uint64_t parked_bytes_locked() const;
 
-  /// Base run of `entry` through the streaming replay, parking the engine
+  /// Base run of `entry` through the runner's replay, parking the engine
   /// snapshot at `fork_at` in the entry (caller holds the entry mutex).
   static api::RunArtifact capture_base_run(ForkEntry& entry, double fork_at);
   /// Post-fork replay of a ready entry with the request's overrides.

@@ -1,20 +1,24 @@
-// Property: the streaming replay is bit-identical to the materialized one.
-// ScenarioRunner::run_streamed (lazy admission, per-chunk post-processing,
-// builder-observed estimation, row recycling) must produce byte-identical
-// artifacts to ScenarioRunner::run_materialized across every built-in
-// source kind, seeds, policies, estimation modes, and — since the
-// PredictorBuilder observation contract — custom registered predictors,
-// serial and through a threaded BatchRunner with stream_traces on. This is
-// what makes the memory-bounded month-scale path trustworthy: streaming
-// can change the footprint, never the results. The suite also pins the
-// SharedTraceCursor pass accounting (single-pass sources serve estimation
-// and replay from one read) and the observation-order property (streamed
-// observe_task order == the materialized trace's job/task order).
+// Property: the streamed replay is bit-identical to the materialized one.
+// ScenarioRunner::run_streamed over the spec's cursor (lazy admission,
+// per-chunk post-processing, builder-observed estimation) must produce
+// byte-identical artifacts to the same runner fed a caller-materialized
+// replay trace (hooks.replay_trace) across every built-in source kind,
+// seeds, policies, estimation modes, and — since the PredictorBuilder
+// observation contract — custom registered predictors, serial and from
+// four threads against a cached serial BatchRunner. This is what makes the
+// memory-bounded month-scale path trustworthy: streaming can change the
+// footprint, never the results. The suite also pins the SharedTraceCursor
+// pass accounting (single-pass sources serve estimation and replay from
+// one read) and the observation-order property (streamed observe_task
+// order == the materialized trace's job/task order).
 
+#include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -225,7 +229,10 @@ TEST_P(StreamedEqualsMaterialized, AcrossSourcesPoliciesAndBatchSizes) {
   const auto specs = grid(GetParam());
   for (const auto& spec : specs) {
     const ScenarioRunner runner(spec);
-    const std::string materialized = render_one(runner.run_materialized());
+    const trace::Trace replay = make_replay_trace(spec.trace);
+    RunHooks hooks;
+    hooks.replay_trace = &replay;
+    const std::string materialized = render_one(runner.run(hooks));
     // Chunk size must be invisible: per-job pulls, a mid-size batch, and
     // one chunk far larger than the trace.
     for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
@@ -235,7 +242,7 @@ TEST_P(StreamedEqualsMaterialized, AcrossSourcesPoliciesAndBatchSizes) {
       EXPECT_EQ(materialized, streamed)
           << spec.name << " diverged at batch_jobs=" << batch;
     }
-    // The unified entry point picks one of the two proven-equal shapes.
+    // run() is the same streamed path at the default chunk size.
     EXPECT_EQ(materialized, render_one(runner.run())) << spec.name;
   }
 }
@@ -247,14 +254,21 @@ TEST_P(StreamedEqualsMaterialized, ThreadedBatchWithStreamCursors) {
   cached.threads = 1;
   const std::string materialized = render(BatchRunner(cached).run(specs));
 
-  BatchOptions streaming;
-  streaming.threads = 4;
-  streaming.stream_traces = true;
-  streaming.stream_batch_jobs = 16;
-  const std::string streamed = render(BatchRunner(streaming).run(specs));
+  // Four threads, each run with its own stream cursors, in small chunks.
+  std::vector<RunArtifact> artifacts(specs.size());
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < 4; ++t) {
+    pool.emplace_back([&] {
+      for (std::size_t i = next++; i < specs.size(); i = next++) {
+        artifacts[i] = ScenarioRunner(specs[i]).run_streamed({}, 16);
+      }
+    });
+  }
+  for (auto& thread : pool) thread.join();
 
-  EXPECT_EQ(materialized, streamed)
-      << "threaded stream-cursor batch diverged from the cached serial run";
+  EXPECT_EQ(materialized, render(artifacts))
+      << "threaded stream-cursor runs diverged from the cached serial batch";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamedEqualsMaterialized,
@@ -335,7 +349,10 @@ TEST(PredictorObservationOrder, StreamedFeedMatchesMaterializedTraceOrder) {
     EXPECT_EQ(*recorded, expected) << spec.name << " (streamed feed)";
 
     recorded->clear();
-    (void)ScenarioRunner(spec).run_materialized();
+    const trace::Trace replay = make_replay_trace(spec.trace);
+    RunHooks hooks;
+    hooks.replay_trace = &replay;
+    (void)ScenarioRunner(spec).run(hooks);
     EXPECT_EQ(*recorded, expected) << spec.name << " (materialized feed)";
   }
 }
@@ -377,36 +394,25 @@ TEST(SingleCursor, ReadAccountingPerSourceKind) {
   EXPECT_EQ(csv_streamed.trace_reads, 1u);
   EXPECT_GE(csv_streamed.rows_read, csv_streamed.trace_tasks);
 
-  // The materialized path reads once too (estimation observes the replay
-  // set in place) — and the unified entry point routes csv there.
+  // run() is the same cursor path: one read.
   const RunArtifact csv_unified = ScenarioRunner(csv).run();
   EXPECT_EQ(csv_unified.trace_reads, 1u);
-  const RunArtifact syn_materialized =
-      ScenarioRunner(synthetic).run_materialized();
-  EXPECT_EQ(syn_materialized.trace_reads, 1u);
+
+  // A caller's trace costs no read: the replay and (estimation=replay) the
+  // estimation pass both observe it in place.
+  const trace::Trace syn_trace = make_replay_trace(synthetic.trace);
+  RunHooks hooks;
+  hooks.replay_trace = &syn_trace;
+  const RunArtifact syn_materialized = ScenarioRunner(synthetic).run(hooks);
+  EXPECT_EQ(syn_materialized.trace_reads, 0u);
+
+  // With a predictor override as well, no phase reads the spec's source,
+  // so it is never resolved: an unregistered scheme does not throw.
+  ScenarioSpec unresolved = synthetic;
+  unresolved.trace.source = "no_such_scheme:x";
+  hooks.predictor_override = sim::make_oracle_predictor();
+  EXPECT_EQ(ScenarioRunner(unresolved).run(hooks).trace_reads, 0u);
 }
-
-/// JobSource over a pre-built job vector (yields owned copies).
-class VectorJobSource final : public sim::JobSource {
- public:
-  explicit VectorJobSource(const std::vector<trace::JobRecord>& jobs)
-      : jobs_(jobs) {}
-
-  std::size_t next_jobs(std::size_t max_jobs,
-                        std::vector<trace::JobRecord>& out) override {
-    std::size_t n = 0;
-    while (n < max_jobs && next_ < jobs_.size()) {
-      out.push_back(jobs_[next_]);
-      ++next_;
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  const std::vector<trace::JobRecord>& jobs_;
-  std::size_t next_ = 0;
-};
 
 TEST(StreamChunkBoundaries, TiedArrivalsAcrossChunkBoundaries) {
   // Jobs with *identical* arrival timestamps straddling every chunk
@@ -450,7 +456,7 @@ TEST(StreamChunkBoundaries, TiedArrivalsAcrossChunkBoundaries) {
 
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{2}, std::size_t{100}}) {
-    VectorJobSource source(trace.jobs);
+    sim::TraceJobSource source(trace);
     const sim::SimResult streamed = fresh_sim().run_stream(source, batch);
     std::vector<RunArtifact> a(2);
     a[0].result = materialized;
@@ -458,6 +464,17 @@ TEST(StreamChunkBoundaries, TiedArrivalsAcrossChunkBoundaries) {
     EXPECT_EQ(render({a[0]}), render({a[1]}))
         << "tied arrivals diverged at batch_jobs=" << batch;
   }
+
+  // The same jobs listed out of arrival order (job 1 last) replay
+  // identically: TraceJobSource admits them stably sorted by arrival, so
+  // the tie at t=110 keeps its trace order.
+  trace::Trace unsorted = trace;
+  std::rotate(unsorted.jobs.begin(), unsorted.jobs.begin() + 1,
+              unsorted.jobs.end());
+  std::vector<RunArtifact> a(2);
+  a[0].result = materialized;
+  a[1].result = fresh_sim().run(unsorted);
+  EXPECT_EQ(render({a[0]}), render({a[1]})) << "unsorted trace diverged";
 }
 
 }  // namespace

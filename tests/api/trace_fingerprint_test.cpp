@@ -160,7 +160,6 @@ TEST(BatchFingerprintTest, SameWorkloadSpecsShareOneCursor) {
 
   BatchOptions options;
   options.threads = 1;
-  options.stream_traces = true;
   BatchRunner runner(options);
   const std::vector<RunArtifact> artifacts = runner.run(specs);
 

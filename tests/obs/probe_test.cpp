@@ -103,26 +103,20 @@ TEST(ProbeIntegration, StreamedReplayProbesMatchMaterialized) {
   api::ScenarioSpec spec = small_spec();
   spec.obs.probe_interval_s = 3600.0;
   const api::ScenarioRunner runner(spec);
-  const api::RunArtifact materialized = runner.run();
+  const trace::Trace replay = api::make_replay_trace(spec.trace);
+  api::RunHooks hooks;
+  hooks.replay_trace = &replay;
+  const api::RunArtifact materialized = runner.run(hooks);
   const api::RunArtifact streamed = runner.run_streamed();
   ASSERT_EQ(materialized.result.probes.size(), streamed.result.probes.size());
   for (std::size_t i = 0; i < materialized.result.probes.size(); ++i) {
-    const ProbeSample& m = materialized.result.probes[i];
-    const ProbeSample& s = streamed.result.probes[i];
-    // Every workload-state column is bit-identical across the two replay
-    // paths. task_rows_high_water is an *allocation* column — streaming
-    // recycles retired rows, so its table stays smaller by design.
-    ProbeSample m_workload = m;
-    ProbeSample s_workload = s;
-    m_workload.task_rows_high_water = 0;
-    s_workload.task_rows_high_water = 0;
+    // Every column is bit-identical across the two sources, including
+    // task_rows_high_water: both replays recycle retired rows.
     std::ostringstream a;
     std::ostringstream b;
-    write_probe_csv_row(a, m_workload);
-    write_probe_csv_row(b, s_workload);
+    write_probe_csv_row(a, materialized.result.probes[i]);
+    write_probe_csv_row(b, streamed.result.probes[i]);
     EXPECT_EQ(a.str(), b.str()) << "probe row " << i;
-    EXPECT_LE(s.task_rows_high_water, m.task_rows_high_water)
-        << "probe row " << i;
   }
 }
 

@@ -12,13 +12,16 @@
 // A second suite pins the other direction: at fork_at=0 an *overridden*
 // resume (policy / detection-delay swap) must equal a from-scratch run of
 // the overridden spec — the snapshot changes where a what-if starts, never
-// what its knobs mean.
+// what its knobs mean. It also sends concurrent what-ifs at one fork key,
+// which must answer exactly as the same requests sent alone.
 
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -205,6 +208,49 @@ TEST(SnapshotOverrideTest, OneCaptureServesManyOverrides) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.snapshot_captures, 1u);
   EXPECT_EQ(stats.snapshot_resumes, 3u);
+}
+
+// Four clients send what-ifs with distinct overrides against one
+// (base, fork_at) at once: one of them captures the snapshot, the others
+// wait on the fork entry and resume the same parked replay in turn. Every
+// reply must equal the same request answered alone by a fresh service.
+TEST(SnapshotOverrideTest, ConcurrentWhatIfsOnOneForkKey) {
+  GridParam p{13u, "backfill:easy"};
+  const SourcePoint synthetic{"synthetic", ""};
+  std::vector<WhatIfRequest> requests(4);
+  const char* policies[] = {"", "young", "daly", ""};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].base = make_spec(synthetic, p);
+    requests[i].fork_at = 700.0;
+    requests[i].policy = policies[i];
+  }
+  requests[3].detection_delay_s = 30.0;
+
+  std::vector<std::string> alone;
+  for (const WhatIfRequest& request : requests) {
+    SimService fresh;
+    alone.push_back(canonical_json(*fresh.whatif(request).artifact));
+  }
+
+  SimService service;
+  std::vector<std::string> together(requests.size());
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    clients.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      together[i] = canonical_json(*service.whatif(requests[i]).artifact);
+    });
+  }
+  go.store(true);
+  for (auto& client : clients) client.join();
+
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(together[i], alone[i]) << "request " << i;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.snapshot_captures, 1u);
+  EXPECT_EQ(stats.snapshot_resumes, 4u);
 }
 
 }  // namespace
