@@ -10,7 +10,7 @@
 //   repro_report --list                      enumerate the registry
 //   repro_report                             run everything + gate
 //   repro_report --only fig09,tab02          run a subset
-//   repro_report --fast                      the cheap CI subset
+//   repro_report --fast                      the quick subset
 //   repro_report --md OUT.md --json OUT.json write the report artifacts
 //   repro_report --expected FILE.json        expected doc (default: the
 //                                            checked-in baseline)

@@ -16,75 +16,51 @@
 
 namespace cloudcr::api {
 
-namespace {
-
-/// Cache key for a TraceSpec: the canonical workload fingerprint
-/// (api/fingerprint.hpp), so key-order variants of one spec — and specs
-/// differing only in fields the source ignores — share one cached trace,
-/// while an edited log file keys a fresh one.
-std::string trace_key(const TraceSpec& spec, bool restricted) {
-  return trace_fingerprint(spec, restricted);
+template <typename Factory>
+TraceCache::TracePtr TraceCache::get(const std::string& key,
+                                     Factory&& factory) {
+  std::promise<TracePtr> promise;
+  std::shared_future<TracePtr> future;
+  bool creator = false;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = futures_.find(key);
+    if (it == futures_.end()) {
+      future = promise.get_future().share();
+      futures_.emplace(key, future);
+      creator = true;
+    } else {
+      future = it->second;
+    }
+  }
+  if (creator) {
+    try {
+      promise.set_value(std::make_shared<const trace::Trace>(factory()));
+    } catch (...) {
+      promise.set_exception(std::current_exception());
+    }
+  }
+  return future.get();
 }
 
-/// Memoizing trace store. The first worker to request a key generates the
-/// trace (outside the lock, via a shared_future, so other keys proceed
-/// concurrently); later workers block on the same future. Traces are
-/// immutable after generation and safely shared across threads.
-class TraceCache {
- public:
-  std::shared_ptr<const trace::Trace> get_replay(const TraceSpec& spec) {
-    if (std::isinf(spec.replay_max_task_length_s)) return get_full(spec);
-    // Restrict the (shared) full trace rather than regenerating it, so specs
-    // differing only in the replay limit pay generation once.
-    return get(trace_key(spec, true), [this, &spec] {
-      return trace::restrict_length(*get_full(spec),
-                                    spec.replay_max_task_length_s);
-    });
-  }
+TraceCache::TracePtr TraceCache::get_full(const TraceSpec& spec) {
+  return get(trace_fingerprint(spec, false),
+             [&spec] { return make_trace(spec); });
+}
 
-  std::shared_ptr<const trace::Trace> get_full(const TraceSpec& spec) {
-    return get(trace_key(spec, false), [&spec] { return make_trace(spec); });
-  }
-
- private:
-  using TracePtr = std::shared_ptr<const trace::Trace>;
-
-  template <typename Factory>
-  TracePtr get(const std::string& key, Factory&& factory) {
-    std::promise<TracePtr> promise;
-    std::shared_future<TracePtr> future;
-    bool creator = false;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      auto it = futures_.find(key);
-      if (it == futures_.end()) {
-        future = promise.get_future().share();
-        futures_.emplace(key, future);
-        creator = true;
-      } else {
-        future = it->second;
-      }
-    }
-    if (creator) {
-      try {
-        promise.set_value(std::make_shared<const trace::Trace>(factory()));
-      } catch (...) {
-        promise.set_exception(std::current_exception());
-      }
-    }
-    return future.get();
-  }
-
-  std::mutex mutex_;
-  std::map<std::string, std::shared_future<TracePtr>> futures_;
-};
-
-}  // namespace
+TraceCache::TracePtr TraceCache::get_replay(const TraceSpec& spec) {
+  if (std::isinf(spec.replay_max_task_length_s)) return get_full(spec);
+  return get(trace_fingerprint(spec, true), [this, &spec] {
+    return trace::restrict_length(*get_full(spec),
+                                  spec.replay_max_task_length_s);
+  });
+}
 
 BatchRunner::BatchRunner(BatchOptions options) : options_(options) {}
 
 std::vector<RunArtifact> BatchRunner::run(
-    const std::vector<ScenarioSpec>& specs, const RunHooks& hooks) const {
+    const std::vector<ScenarioSpec>& specs, const RunHooks& hooks,
+    TraceCache* traces) const {
   std::vector<RunArtifact> artifacts(specs.size());
   if (specs.empty()) return artifacts;
 
@@ -95,7 +71,8 @@ std::vector<RunArtifact> BatchRunner::run(
   }
   if (threads > specs.size()) threads = specs.size();
 
-  TraceCache cache;
+  TraceCache local_cache;
+  TraceCache& cache = traces != nullptr ? *traces : local_cache;
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::mutex error_mutex;
@@ -132,36 +109,34 @@ std::vector<RunArtifact> BatchRunner::run(
 
         // Pin the shared traces this spec needs for the duration of the run.
         std::shared_ptr<const trace::Trace> replay, estimation;
-        if (options_.share_traces) {
-          if (run_hooks.replay_trace == nullptr) {
-            replay = cache.get_replay(spec.trace);
-            run_hooks.replay_trace = replay.get();
-          }
-          // A predictor that wants no observations (oracle) needs no
-          // estimation trace pinned — probing the builder is cheap and
-          // skips a whole cache entry for kFull/kHistory specs.
-          const bool wants_observations =
-              !run_hooks.predictor_override &&
-              run_hooks.estimation_trace == nullptr &&
-              with_key_context("predictor", spec.predictor, [&] {
-                return PredictorRegistry::instance()
-                    .make_builder(spec.predictor)
-                    ->wants_observations();
-              });
-          if (wants_observations) {
-            switch (spec.estimation) {
-              case EstimationSource::kReplay:
-                run_hooks.estimation_trace = run_hooks.replay_trace;
-                break;
-              case EstimationSource::kFull:
-                estimation = cache.get_full(spec.trace);
-                run_hooks.estimation_trace = estimation.get();
-                break;
-              case EstimationSource::kHistory:
-                estimation = cache.get_replay(spec.history);
-                run_hooks.estimation_trace = estimation.get();
-                break;
-            }
+        if (run_hooks.replay_trace == nullptr) {
+          replay = cache.get_replay(spec.trace);
+          run_hooks.replay_trace = replay.get();
+        }
+        // A predictor that wants no observations (oracle) needs no
+        // estimation trace pinned — probing the builder is cheap and
+        // skips a whole cache entry for kFull/kHistory specs.
+        const bool wants_observations =
+            !run_hooks.predictor_override &&
+            run_hooks.estimation_trace == nullptr &&
+            with_key_context("predictor", spec.predictor, [&] {
+              return PredictorRegistry::instance()
+                  .make_builder(spec.predictor)
+                  ->wants_observations();
+            });
+        if (wants_observations) {
+          switch (spec.estimation) {
+            case EstimationSource::kReplay:
+              run_hooks.estimation_trace = run_hooks.replay_trace;
+              break;
+            case EstimationSource::kFull:
+              estimation = cache.get_full(spec.trace);
+              run_hooks.estimation_trace = estimation.get();
+              break;
+            case EstimationSource::kHistory:
+              estimation = cache.get_replay(spec.history);
+              run_hooks.estimation_trace = estimation.get();
+              break;
           }
         }
         artifacts[i] = run_scenario(spec, run_hooks);

@@ -12,24 +12,52 @@
 /// property test in tests/api/batch_runner_test.cpp pins this guarantee).
 ///
 /// Identical TraceSpecs across a batch (the common "same trace, N policies"
-/// paired-comparison shape) generate their trace once via an internal
-/// memoizing cache; generation is deterministic, so sharing cannot change
+/// paired-comparison shape) generate their trace once via a memoizing
+/// TraceCache; generation is deterministic, so sharing cannot change
 /// results, only wall time.
 
 #include <cstddef>
 #include <functional>
+#include <future>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "api/runner.hpp"
 
 namespace cloudcr::api {
 
+/// Memoizing, thread-safe store of materialized traces, keyed by the
+/// canonical workload fingerprint (api/fingerprint.hpp): key-order variants
+/// of one spec, and specs differing only in fields their source ignores,
+/// share one trace, while an edited log file keys a fresh one. The first
+/// caller of a key builds the trace outside the lock (other keys proceed
+/// concurrently); later callers wait for it. Traces are immutable once
+/// built and stay alive as long as the cache does.
+class TraceCache {
+ public:
+  using TracePtr = std::shared_ptr<const trace::Trace>;
+
+  /// make_trace(spec): the unrestricted (estimation) view.
+  [[nodiscard]] TracePtr get_full(const TraceSpec& spec);
+
+  /// make_replay_trace(spec): restricts the cached full trace, so specs
+  /// differing only in the replay limit generate it once.
+  [[nodiscard]] TracePtr get_replay(const TraceSpec& spec);
+
+ private:
+  template <typename Factory>
+  TracePtr get(const std::string& key, Factory&& factory);
+
+  std::mutex mutex_;
+  std::map<std::string, std::shared_future<TracePtr>> futures_;
+};
+
 struct BatchOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   std::size_t threads = 0;
-
-  /// Memoize generated traces across specs with identical TraceSpecs.
-  bool share_traces = true;
 
   /// Optional progress callback, invoked once per finished artifact (in
   /// completion order, under an internal mutex — callers need no locking)
@@ -48,10 +76,12 @@ class BatchRunner {
   /// are bit-identical to a serial run. The hooks (if any) apply to every
   /// spec, except RunHooks::workspace, which is replaced by a per-worker
   /// pool (a shared one would race). Worker exceptions are rethrown on the
-  /// calling thread.
+  /// calling thread. Traces come from `traces` when given — a caller that
+  /// owns the cache can read the batch's traces after it returns — and from
+  /// a cache local to this call otherwise.
   [[nodiscard]] std::vector<RunArtifact> run(
-      const std::vector<ScenarioSpec>& specs,
-      const RunHooks& hooks = {}) const;
+      const std::vector<ScenarioSpec>& specs, const RunHooks& hooks = {},
+      TraceCache* traces = nullptr) const;
 
   [[nodiscard]] const BatchOptions& options() const noexcept {
     return options_;

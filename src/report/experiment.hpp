@@ -76,8 +76,8 @@ struct EntryContext {
   const std::vector<api::RunArtifact>& artifacts;
 
   /// Materialized traces for this entry's `traces`, in request order
-  /// (borrowed from the runner's dedup cache; a reference_wrapper binds
-  /// directly to `const trace::Trace&`).
+  /// (borrowed from the trace cache the runner shares with the batch; a
+  /// reference_wrapper binds directly to `const trace::Trace&`).
   const std::vector<std::reference_wrapper<const trace::Trace>>& traces;
 
   /// Human-readable rendering sink (full tables and CDF series, exactly
@@ -103,7 +103,7 @@ struct Experiment {
   /// docs/experiments.md.
   std::string model_notes;
 
-  /// Cheap enough for the CI fast subset (`repro_report --fast`).
+  /// Cheap enough for the quick subset (`repro_report --fast`).
   bool fast = false;
 
   /// Scenario grid run through api::BatchRunner. Identical TraceSpecs are
@@ -111,7 +111,8 @@ struct Experiment {
   /// within one entry.
   std::vector<api::ScenarioSpec> specs;
 
-  /// Raw traces to materialize (deduplicated across entries by the runner).
+  /// Raw traces to materialize (deduplicated across entries, and with the
+  /// replays' own traces, by the runner's trace cache).
   std::vector<TraceRequest> traces;
 
   std::function<std::vector<MetricValue>(EntryContext&)> evaluate;

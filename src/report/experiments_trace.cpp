@@ -1,10 +1,12 @@
 // Trace-statistics experiments: Figures 4, 5, 8 and Table 7. These
 // characterize the workload itself (interval CDFs, MLE fits, job marginals,
-// MNOF/MTBF groups) — the runner materializes the requested traces; no
-// simulation is replayed.
+// MNOF/MTBF groups) — the runner hands over the requested traces from its
+// trace cache; no simulation is replayed.
 
+#include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/report.hpp"
@@ -36,16 +38,19 @@ Experiment fig04_entry() {
   e.traces = {{month_trace_spec(), /*replay_view=*/false}};
   e.evaluate = [](EntryContext& ctx) {
     const trace::Trace& trace = ctx.traces.front();
-    const auto by_priority = trace::intervals_by_priority(trace);
+    // One CDF per priority, shared by the summary, both panels and the
+    // medians.
+    std::map<int, stats::EmpiricalCdf> cdfs;
+    for (auto& [priority, intervals] : trace::intervals_by_priority(trace)) {
+      if (!intervals.empty()) cdfs.emplace(priority, std::move(intervals));
+    }
     metrics::print_banner(ctx.human,
                           "Figure 4: uninterrupted intervals by priority");
     ctx.human << "trace: " << trace.job_count() << " jobs, "
               << trace.task_count() << " tasks\n";
     metrics::Table summary(
         {"priority", "intervals", "median (s)", "p90 (s)", "max (s)"});
-    for (const auto& [priority, intervals] : by_priority) {
-      if (intervals.empty()) continue;
-      const stats::EmpiricalCdf cdf(intervals);
+    for (const auto& [priority, cdf] : cdfs) {
       summary.add_row({std::to_string(priority), std::to_string(cdf.size()),
                        metrics::fmt(cdf.quantile(0.5), 1),
                        metrics::fmt(cdf.quantile(0.9), 1),
@@ -53,42 +58,32 @@ Experiment fig04_entry() {
     }
     summary.print(ctx.human);
 
+    const auto print_panel = [&ctx, &cdfs](int first, int last, double x_hi,
+                                           double x_scale) {
+      for (int p = first; p <= last; ++p) {
+        const auto it = cdfs.find(p);
+        if (it == cdfs.end()) continue;
+        std::vector<std::pair<double, double>> series;
+        for (const auto& pt : stats::cdf_series(it->second, 13, 0.0, x_hi)) {
+          series.emplace_back(pt.x / x_scale, pt.p);
+        }
+        metrics::print_series(ctx.human, "priority=" + std::to_string(p),
+                              series);
+      }
+    };
     metrics::print_banner(ctx.human,
                           "Fig 4(a): low priorities (<= 1 day axis)");
-    for (int p = 1; p <= 6; ++p) {
-      const auto it = by_priority.find(p);
-      if (it == by_priority.end() || it->second.empty()) continue;
-      const stats::EmpiricalCdf cdf(it->second);
-      std::vector<std::pair<double, double>> series;
-      for (const auto& pt : stats::cdf_series(cdf, 13, 0.0, 86400.0)) {
-        series.emplace_back(pt.x, pt.p);
-      }
-      metrics::print_series(ctx.human, "priority=" + std::to_string(p),
-                            series);
-    }
+    print_panel(1, 6, 86400.0, 1.0);
     metrics::print_banner(ctx.human,
                           "Fig 4(b): high priorities (<= 30 day axis)");
-    for (int p = 7; p <= 12; ++p) {
-      const auto it = by_priority.find(p);
-      if (it == by_priority.end() || it->second.empty()) continue;
-      const stats::EmpiricalCdf cdf(it->second);
-      std::vector<std::pair<double, double>> series;
-      for (const auto& pt :
-           stats::cdf_series(cdf, 13, 0.0, 30.0 * 86400.0)) {
-        series.emplace_back(pt.x / 86400.0, pt.p);  // days, as in the paper
-      }
-      metrics::print_series(ctx.human, "priority=" + std::to_string(p),
-                            series);
-    }
+    print_panel(7, 12, 30.0 * 86400.0, 86400.0);  // days, as in the paper
 
-    const double low = by_priority.count(1)
-                           ? stats::EmpiricalCdf(by_priority.at(1))
-                                 .quantile(0.5)
-                           : 0.0;
-    const double high = by_priority.count(9)
-                            ? stats::EmpiricalCdf(by_priority.at(9))
-                                  .quantile(0.5)
-                            : 0.0;
+    const auto median = [&cdfs](int p) {
+      const auto it = cdfs.find(p);
+      return it == cdfs.end() ? 0.0 : it->second.quantile(0.5);
+    };
+    const double low = median(1);
+    const double high = median(9);
     ctx.human << "median interval priority 1 vs 9: " << metrics::fmt(low, 1)
               << " vs " << metrics::fmt(high, 1)
               << "  (paper: higher priorities run longer uninterrupted)\n";
@@ -118,30 +113,36 @@ Experiment fig05_entry() {
   e.traces = {{month_trace_spec(), /*replay_view=*/false}};
   e.evaluate = [](EntryContext& ctx) {
     const trace::Trace& trace = ctx.traces.front();
-    std::string best_all;
-    const auto analyze = [&ctx, &best_all](const std::string& label,
-                                           const std::vector<double>& samples,
-                                           double x_hi, bool record_best) {
+    // One CDF per sample set: its sorted copy feeds every family's KS
+    // statistic, and the short window's lambda is its mean.
+    struct Analysis {
+      std::vector<stats::FitResult> fits;  ///< best fit first
+      double mean = 0.0;                   ///< EmpiricalCdf::mean()
+    };
+    const auto analyze = [&ctx](const std::string& label,
+                                const std::vector<double>& samples,
+                                double x_hi) {
+      Analysis a;
       metrics::print_banner(ctx.human, label);
       ctx.human << "samples: " << samples.size() << "\n";
-      if (samples.empty()) return;
-      const auto fits = stats::fit_all(samples);
+      if (samples.empty()) return a;
+      const stats::EmpiricalCdf cdf(samples);
+      a.fits = stats::fit_all(samples, cdf.sorted_samples());
+      a.mean = cdf.mean();
       metrics::Table table({"family", "KS", "AIC", "fitted"});
-      for (const auto& f : fits) {
+      for (const auto& f : a.fits) {
         table.add_row({f.family, metrics::fmt(f.ks_statistic, 4),
                        metrics::fmt(f.aic, 0),
                        f.dist ? f.dist->name() : "(failed)"});
       }
       table.print(ctx.human);
-      ctx.human << "best fit: " << fits.front().family << "\n";
-      if (record_best) best_all = fits.front().family;
-      const stats::EmpiricalCdf cdf(samples);
+      ctx.human << "best fit: " << a.fits.front().family << "\n";
       std::vector<std::pair<double, double>> series;
       for (const auto& pt : stats::cdf_series(cdf, 21, 0.0, x_hi)) {
         series.emplace_back(pt.x, pt.p);
       }
       metrics::print_series(ctx.human, "empirical", series);
-      for (const auto& f : fits) {
+      for (const auto& f : a.fits) {
         if (!f.dist) continue;
         std::vector<std::pair<double, double>> fitted;
         for (const auto& pt : stats::cdf_series(cdf, 21, 0.0, x_hi)) {
@@ -149,15 +150,18 @@ Experiment fig05_entry() {
         }
         metrics::print_series(ctx.human, "fit:" + f.family, fitted);
       }
+      return a;
     };
 
     const auto all = trace::uninterrupted_interval_pool(trace);
-    analyze("Figure 5(a): all failure intervals", all, 200000.0,
-            /*record_best=*/true);
+    const Analysis all_fit =
+        analyze("Figure 5(a): all failure intervals", all, 200000.0);
+    const std::string best_all =
+        all_fit.fits.empty() ? "" : all_fit.fits.front().family;
     const auto short_intervals =
         trace::uninterrupted_interval_pool(trace, 1000.0);
-    analyze("Figure 5(b): failure intervals <= 1000 s", short_intervals,
-            1000.0, /*record_best=*/false);
+    const Analysis short_window = analyze(
+        "Figure 5(b): failure intervals <= 1000 s", short_intervals, 1000.0);
 
     double frac_short = 0.0;
     if (!all.empty()) {
@@ -167,13 +171,11 @@ Experiment fig05_entry() {
                 << metrics::fmt(frac_short, 3) << "  (paper: over 63%)\n";
     }
     double lambda = 0.0;
-    if (!short_intervals.empty()) {
-      const auto exp_fit = stats::fit_exponential(short_intervals);
-      if (exp_fit.dist) {
-        lambda = 1.0 / stats::EmpiricalCdf(short_intervals).mean();
-        ctx.human << "exponential fit on the <=1000 s window: "
-                  << exp_fit.dist->name() << "  (paper: lambda ~= 0.00423)\n";
-      }
+    for (const auto& f : short_window.fits) {
+      if (f.family != "exponential" || !f.dist) continue;
+      lambda = 1.0 / short_window.mean;
+      ctx.human << "exponential fit on the <=1000 s window: "
+                << f.dist->name() << "  (paper: lambda ~= 0.00423)\n";
     }
     return std::vector<MetricValue>{
         metric("pareto_best_fit_all", best_all == "pareto" ? 1.0 : 0.0, 0.0),
@@ -241,17 +243,15 @@ Experiment fig08_entry() {
     print_cdf("BoT job", hours(len_bot), 6.0);
     print_cdf("mixture", hours(len_mix), 6.0);
 
-    const stats::EmpiricalCdf len_cdf(len_mix);
-    const double median_len = len_cdf.quantile(0.5);
+    const double median_len = stats::EmpiricalCdf(len_mix).quantile(0.5);
+    const double median_mem = stats::EmpiricalCdf(mem_mix).quantile(0.5);
     ctx.human << "median job length: " << metrics::fmt(median_len, 0)
               << " s  (paper: most jobs are short, 200-1000 s tasks)\n";
     return std::vector<MetricValue>{
         metric("sample_jobs", static_cast<double>(trace.job_count()),
                0.02 * static_cast<double>(trace.job_count())),
         metric("median_job_length_s", median_len, 0.1 * median_len),
-        metric("median_job_memory_mb",
-               stats::EmpiricalCdf(mem_mix).quantile(0.5),
-               0.1 * stats::EmpiricalCdf(mem_mix).quantile(0.5)),
+        metric("median_job_memory_mb", median_mem, 0.1 * median_mem),
     };
   };
   return e;

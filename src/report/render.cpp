@@ -189,8 +189,8 @@ void write_experiments_doc(std::ostream& os) {
         "via `repro_report`, one\nentry via its historical bench binary "
         "(`bench_fig09_wpr_cdf`, ...), or any\nsubset via `repro_report "
         "--only <ids>`. Expected values are checked in at\n"
-        "`bench/REPRO_expected.baseline.json`; `fast` entries form the CI "
-        "subset\n(`repro_report --fast`).\n\n";
+        "`bench/REPRO_expected.baseline.json`; `fast` entries form a quick "
+        "subset\n(`repro_report --fast`). CI runs the whole matrix.\n\n";
   os << "| id | paper ref | scenarios | fast | title |\n";
   os << "|---|---|---|---|---|\n";
   for (const auto& e : registry.entries()) {

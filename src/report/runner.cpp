@@ -1,7 +1,6 @@
 #include "report/runner.hpp"
 
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <iterator>
 #include <optional>
@@ -30,34 +29,6 @@ double seconds_since(Clock::time_point start) {
 class NullBuffer final : public std::streambuf {
  protected:
   int overflow(int c) override { return c; }
-};
-
-/// Materialized raw traces, deduplicated by (spec, view): fig04/fig05 share
-/// the unrestricted week trace, fig08 its replay view.
-class TraceCache {
- public:
-  const trace::Trace& get(const TraceRequest& request) {
-    for (const auto& entry : entries_) {
-      if (entry.spec == request.spec &&
-          entry.replay_view == request.replay_view) {
-        return entry.trace;
-      }
-    }
-    entries_.push_back({request.spec, request.replay_view,
-                        request.replay_view
-                            ? api::make_replay_trace(request.spec)
-                            : api::make_trace(request.spec)});
-    return entries_.back().trace;
-  }
-
- private:
-  struct Entry {
-    api::TraceSpec spec;
-    bool replay_view;
-    trace::Trace trace;
-  };
-  // std::deque: returned references must survive later get() insertions.
-  std::deque<Entry> entries_;
 };
 
 }  // namespace
@@ -117,19 +88,21 @@ ReportResult run_report(const ReportOptions& options) {
     }
   }
 
+  // One trace cache for the batch and the entries' TraceRequests: fig04,
+  // fig05 and fig08 read the week trace the replays already built. It holds
+  // every trace until the report returns, so the entries borrow references.
+  api::TraceCache trace_cache;
   api::BatchOptions batch_options;
   batch_options.threads = options.threads;
   batch_options.progress = options.progress;
   std::vector<api::RunArtifact> all_artifacts =
-      all_specs.empty() ? std::vector<api::RunArtifact>{}
-                        : api::BatchRunner(batch_options).run(all_specs);
+      api::BatchRunner(batch_options).run(all_specs, {}, &trace_cache);
 
   NullBuffer null_buffer;
   std::ostream null_stream(&null_buffer);
   std::ostream& human =
       options.human != nullptr ? *options.human : null_stream;
 
-  TraceCache trace_cache;
   ReportResult result;
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const Experiment* e = selected[i];
@@ -139,7 +112,9 @@ ReportResult run_report(const ReportOptions& options) {
     traces.reserve(e->traces.size());
     for (TraceRequest request : e->traces) {
       if (options.trace_override) options.trace_override(request.spec);
-      traces.push_back(std::cref(trace_cache.get(request)));
+      traces.push_back(std::cref(
+          *(request.replay_view ? trace_cache.get_replay(request.spec)
+                                : trace_cache.get_full(request.spec))));
     }
 
     // Slices are disjoint and all_artifacts is never read again, so move

@@ -7,10 +7,11 @@
 /// gathers every selected entry's ScenarioSpecs into a *single*
 /// api::BatchRunner call (so identical TraceSpecs are generated once across
 /// the whole report, not just within one entry — fig09/fig10/tab06 share
-/// the week trace), materializes TraceRequests through the same
-/// deduplicating cache, and then hands each entry its artifact slice for
-/// evaluation. Results are bit-identical regardless of --threads, because
-/// BatchRunner pins that property.
+/// the week trace), serves the entries' TraceRequests from the same
+/// api::TraceCache the batch filled (fig04/fig05/fig08 read the week trace
+/// the replays already built), and then hands each entry its artifact slice
+/// for evaluation. Results are bit-identical regardless of --threads,
+/// because BatchRunner pins that property.
 
 #include <functional>
 #include <iosfwd>
@@ -25,7 +26,7 @@ struct ReportOptions {
   /// Experiment ids to run (empty = all registry entries).
   std::vector<std::string> only;
 
-  /// Restrict to entries flagged Experiment::fast (the CI subset).
+  /// Restrict to entries flagged Experiment::fast (the quick subset).
   bool fast_only = false;
 
   /// BatchRunner worker threads (0 = hardware concurrency).

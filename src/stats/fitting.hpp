@@ -59,6 +59,16 @@ double log_likelihood(std::span<const double> samples,
 
 /// Fits every Fig-5 family (exponential, geometric, Laplace, normal, Pareto)
 /// and returns results sorted by ascending KS statistic (best fit first).
+/// Each result equals the standalone fit_<family>(samples), field for field;
+/// the samples are sorted once for all five.
 std::vector<FitResult> fit_all(std::span<const double> samples);
+
+/// fit_all for a caller that already holds `sorted`, the ascending copy of
+/// `samples` (e.g. EmpiricalCdf::sorted_samples()): every KS statistic and
+/// Laplace's median read it, so nothing is sorted again. Parameters and
+/// log-likelihoods still sum over `samples` in their own order. Throws
+/// std::invalid_argument if the sizes differ.
+std::vector<FitResult> fit_all(std::span<const double> samples,
+                               std::span<const double> sorted);
 
 }  // namespace cloudcr::stats

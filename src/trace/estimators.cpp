@@ -37,10 +37,10 @@ std::array<GroupStats, kMaxPriority> estimate_by_priority(
       GroupStats& g = groups[idx];
       ++g.task_count;
       g.failure_count += task.failures_within(task.length_s);
-      for (double interval : task.uninterrupted_intervals(task.length_s)) {
-        interval_sum[idx] += interval;
+      task.for_each_uninterrupted_interval(task.length_s, [&](double v) {
+        interval_sum[idx] += v;
         ++interval_count[idx];
-      }
+      });
     }
   }
 
@@ -88,9 +88,8 @@ std::map<int, std::vector<double>> intervals_by_priority(const Trace& trace) {
   for (const auto& job : trace.jobs) {
     for (const auto& task : job.tasks) {
       auto& bucket = out[task.priority];
-      for (double v : task.uninterrupted_intervals(task.length_s)) {
-        bucket.push_back(v);
-      }
+      task.for_each_uninterrupted_interval(
+          task.length_s, [&bucket](double v) { bucket.push_back(v); });
     }
   }
   return out;
@@ -117,9 +116,9 @@ std::vector<double> uninterrupted_interval_pool(const Trace& trace,
   std::vector<double> out;
   for (const auto& job : trace.jobs) {
     for (const auto& task : job.tasks) {
-      for (double v : task.uninterrupted_intervals(task.length_s)) {
+      task.for_each_uninterrupted_interval(task.length_s, [&](double v) {
         if (v <= limit) out.push_back(v);
-      }
+      });
     }
   }
   return out;
@@ -130,11 +129,14 @@ double oracle_mnof(const TaskRecord& task) {
 }
 
 double oracle_mtbf(const TaskRecord& task) {
-  const auto intervals = task.uninterrupted_intervals(task.length_s);
-  if (intervals.empty()) return task.length_s;
   double acc = 0.0;
-  for (double v : intervals) acc += v;
-  return acc / static_cast<double>(intervals.size());
+  std::size_t count = 0;
+  task.for_each_uninterrupted_interval(task.length_s, [&](double v) {
+    acc += v;
+    ++count;
+  });
+  if (count == 0) return task.length_s;
+  return acc / static_cast<double>(count);
 }
 
 }  // namespace cloudcr::trace

@@ -1,21 +1,43 @@
 #include "trace/generator.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace cloudcr::trace {
+
+namespace {
+
+std::string show(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
+}  // namespace
 
 TraceGenerator::TraceGenerator(GeneratorConfig config,
                                FailureModel failure_model)
     : config_(config),
       workload_(config.workload),
       failure_model_(std::move(failure_model)) {
-  if (config_.arrival_rate <= 0.0) {
-    throw std::invalid_argument("TraceGenerator: arrival_rate must be > 0");
+  // Written so that NaN fails each test: the arrival loop only ends once an
+  // arrival passes the horizon (or max_jobs), and an infinite rate parks
+  // every arrival at t = 0.
+  if (!(std::isfinite(config_.arrival_rate) && config_.arrival_rate > 0.0)) {
+    throw std::invalid_argument(
+        "TraceGenerator: arrival_rate must be finite and > 0, got " +
+        show(config_.arrival_rate));
   }
-  if (config_.horizon_s <= 0.0) {
-    throw std::invalid_argument("TraceGenerator: horizon must be > 0");
+  if (!(config_.horizon_s > 0.0)) {
+    throw std::invalid_argument("TraceGenerator: horizon_s must be > 0, got " +
+                                show(config_.horizon_s));
+  }
+  if (std::isinf(config_.horizon_s) && config_.max_jobs == 0) {
+    throw std::invalid_argument(
+        "TraceGenerator: horizon_s is infinite, which needs max_jobs > 0");
   }
 }
 

@@ -17,15 +17,8 @@ std::size_t TaskRecord::failures_within(double active_horizon) const {
 std::vector<double> TaskRecord::uninterrupted_intervals(
     double active_horizon) const {
   std::vector<double> intervals;
-  double prev = 0.0;
-  for (double date : failure_dates) {
-    if (date > active_horizon) break;
-    intervals.push_back(date - prev);
-    prev = date;
-  }
-  if (active_horizon > prev) {
-    intervals.push_back(active_horizon - prev);  // trailing censored interval
-  }
+  for_each_uninterrupted_interval(
+      active_horizon, [&intervals](double v) { intervals.push_back(v); });
   return intervals;
 }
 

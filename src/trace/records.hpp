@@ -87,6 +87,20 @@ struct TaskRecord {
   /// the paper plots in Fig 4 and feeds MTBF estimation.
   [[nodiscard]] std::vector<double> uninterrupted_intervals(
       double active_horizon) const;
+
+  /// Calls `fn(interval)` for each element of
+  /// uninterrupted_intervals(active_horizon), in the same order, without
+  /// building the vector (the trace-wide estimators walk every task).
+  template <typename Fn>
+  void for_each_uninterrupted_interval(double active_horizon, Fn&& fn) const {
+    double prev = 0.0;
+    for (double date : failure_dates) {
+      if (date > active_horizon) break;
+      fn(date - prev);
+      prev = date;
+    }
+    if (active_horizon > prev) fn(active_horizon - prev);  // censored tail
+  }
 };
 
 /// One user request: a set of tasks with a common structure.

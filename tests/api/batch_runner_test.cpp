@@ -1,6 +1,7 @@
 // BatchRunner: the determinism property (parallel == serial, bit-identical),
-// artifact ordering, trace sharing, error propagation — and ScenarioRunner
-// equivalence with a hand-wired Simulation.
+// artifact ordering, trace sharing (also through a caller-owned TraceCache),
+// error propagation — and ScenarioRunner equivalence with a hand-wired
+// Simulation.
 
 #include <gtest/gtest.h>
 
@@ -124,18 +125,36 @@ TEST(BatchRunnerProperty, ParallelIsBitIdenticalToSerial) {
 }
 
 TEST(BatchRunnerProperty, TraceSharingDoesNotChangeResults) {
+  // Each standalone run reads its own trace cursor; the batch shares one
+  // cached trace per workload.
   const auto specs = property_grid();
   BatchOptions shared;
   shared.threads = 3;
-  shared.share_traces = true;
-  BatchOptions unshared;
-  unshared.threads = 3;
-  unshared.share_traces = false;
-  const auto a = BatchRunner(shared).run(specs);
-  const auto b = BatchRunner(unshared).run(specs);
+  const auto batch = BatchRunner(shared).run(specs);
+  ASSERT_EQ(batch.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(a[i], b[i]);
+    expect_identical(batch[i], run_scenario(specs[i]));
   }
+}
+
+TEST(BatchRunnerProperty, CallerOwnedTraceCacheIsSharedAndUnchanged) {
+  const auto specs = property_grid();
+  TraceCache traces;
+  const auto full_before = traces.get_full(specs[0].trace);
+  const auto replay_before = traces.get_replay(specs[0].trace);
+
+  BatchOptions options;
+  options.threads = 3;
+  const auto owned = BatchRunner(options).run(specs, {}, &traces);
+  const auto local = BatchRunner(options).run(specs);
+  ASSERT_EQ(owned.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    expect_identical(owned[i], local[i]);
+  }
+  // The batch read the caller's entries instead of building its own, and
+  // left them in place for the caller.
+  EXPECT_EQ(traces.get_full(specs[0].trace), full_before);
+  EXPECT_EQ(traces.get_replay(specs[0].trace), replay_before);
 }
 
 TEST(BatchRunner, ArtifactsArriveInSpecOrder) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "stats/distributions.hpp"
 #include "stats/rng.hpp"
@@ -129,6 +132,79 @@ TEST(FitAll, CoversTheFigure5Families) {
   EXPECT_TRUE(families.contains("laplace"));
   EXPECT_TRUE(families.contains("normal"));
   EXPECT_TRUE(families.contains("pareto"));
+}
+
+/// Seeded, unsorted intervals with ties (every third value rounded up to a
+/// multiple of 10) and values below 1 (every seventh, which geometric clamps
+/// to one slot).
+std::vector<double> tied_unsorted_samples(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  auto samples = Exponential(0.01).sample_n(rng, n);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (i % 3 == 0) samples[i] = std::ceil(samples[i] / 10.0) * 10.0;
+    if (i % 7 == 0) samples[i] *= 0.004;
+  }
+  return samples;
+}
+
+void expect_same_fit(const FitResult& got, const FitResult& want) {
+  EXPECT_EQ(got.family, want.family);
+  ASSERT_EQ(got.dist == nullptr, want.dist == nullptr);
+  EXPECT_EQ(got.log_likelihood, want.log_likelihood);
+  EXPECT_EQ(got.aic, want.aic);
+  EXPECT_EQ(got.ks_statistic, want.ks_statistic);
+  if (want.dist == nullptr) return;
+  EXPECT_EQ(got.dist->name(), want.dist->name());
+  for (const double x : {0.002, 1.0, 7.5, 100.0, 1000.0, 1e5}) {
+    EXPECT_EQ(got.dist->cdf(x), want.dist->cdf(x));
+    EXPECT_EQ(got.dist->pdf(x), want.dist->pdf(x));
+  }
+}
+
+TEST(FitAll, SortedCopyPathEqualsStandaloneFits) {
+  for (const std::size_t n : {2000u, 2001u}) {  // both median branches
+    SCOPED_TRACE(n);
+    const auto samples = tied_unsorted_samples(n, 71 + n);
+    ASSERT_FALSE(std::is_sorted(samples.begin(), samples.end()));
+    auto sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_NE(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+    ASSERT_LT(sorted.front(), 1.0);
+    std::vector<double> rounded;
+    for (const double v : samples) {
+      rounded.push_back(std::max(1.0, std::ceil(v)));
+    }
+
+    std::map<std::string, FitResult> standalone;
+    standalone.emplace("exponential", fit_exponential(samples));
+    standalone.emplace("geometric", fit_geometric(samples));
+    standalone.emplace("laplace", fit_laplace(samples));
+    standalone.emplace("normal", fit_normal(samples));
+    standalone.emplace("pareto", fit_pareto(samples));
+
+    const auto check = [&](const std::vector<FitResult>& fits) {
+      ASSERT_EQ(fits.size(), standalone.size());
+      for (const FitResult& f : fits) {
+        SCOPED_TRACE(f.family);
+        ASSERT_TRUE(standalone.contains(f.family));
+        expect_same_fit(f, standalone.at(f.family));
+        ASSERT_NE(f.dist, nullptr);
+        // Geometric is scored against the rounded samples.
+        EXPECT_EQ(f.ks_statistic,
+                  ks_statistic(f.family == "geometric" ? rounded : samples,
+                               *f.dist));
+      }
+    };
+    check(fit_all(samples));
+    check(fit_all(samples, sorted));
+  }
+}
+
+TEST(FitAll, RejectsMismatchedSortedCopy) {
+  const std::vector<double> samples{3.0, 1.0, 2.0};
+  const std::vector<double> short_copy{1.0, 2.0};
+  EXPECT_THROW((void)fit_all(samples, short_copy), std::invalid_argument);
+  EXPECT_THROW((void)fit_all({}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

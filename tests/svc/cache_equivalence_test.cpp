@@ -1,5 +1,5 @@
 // Caching can change latency, never an answer. For every scenario in the
-// experiment registry's CI fast subset, a cold SimService run and the warm
+// experiment registry's fast subset, a cold SimService run and the warm
 // rerun that follows must hand back byte-identical artifact JSON (outcome
 // rows included), and the warm run must be provably free: reply.cached is
 // true and the service's trace-read accounting does not move — a cache hit

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 
 namespace cloudcr::trace {
 namespace {
@@ -17,12 +19,44 @@ GeneratorConfig small_config() {
 }
 
 TEST(TraceGenerator, RejectsBadConfig) {
-  GeneratorConfig cfg;
-  cfg.arrival_rate = 0.0;
-  EXPECT_THROW(TraceGenerator{cfg}, std::invalid_argument);
-  GeneratorConfig cfg2;
-  cfg2.horizon_s = -1.0;
-  EXPECT_THROW(TraceGenerator{cfg2}, std::invalid_argument);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double arrival_rate;
+    double horizon_s;
+    std::size_t max_jobs;
+    const char* field;  ///< the message must name it
+  };
+  const Case cases[] = {
+      {0.0, 86400.0, 0, "arrival_rate"},
+      {kNaN, 86400.0, 0, "arrival_rate"},
+      {kInf, 86400.0, 50, "arrival_rate"},  // every arrival at t = 0
+      {0.116, -1.0, 0, "horizon_s"},
+      {0.116, kNaN, 0, "horizon_s"},
+      {0.116, kNaN, 50, "horizon_s"},
+      {0.116, kInf, 0, "horizon_s"},  // no arrival ever passes it
+  };
+  for (const Case& c : cases) {
+    GeneratorConfig cfg;
+    cfg.arrival_rate = c.arrival_rate;
+    cfg.horizon_s = c.horizon_s;
+    cfg.max_jobs = c.max_jobs;
+    SCOPED_TRACE(std::to_string(c.arrival_rate) + " / " +
+                 std::to_string(c.horizon_s));
+    try {
+      (void)TraceGenerator{cfg};
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // An infinite horizon is fine when max_jobs ends the stream.
+  GeneratorConfig capped;
+  capped.horizon_s = kInf;
+  capped.max_jobs = 50;
+  EXPECT_EQ(TraceGenerator{capped}.generate().job_count(), 50u);
 }
 
 TEST(TraceGenerator, DeterministicForSameSeed) {

@@ -12,6 +12,15 @@ TaskRecord make_task(double length, std::vector<double> failures) {
   return t;
 }
 
+/// What for_each_uninterrupted_interval yields, in order; each interval
+/// test checks it against the vector form.
+std::vector<double> visited(const TaskRecord& t, double horizon) {
+  std::vector<double> out;
+  t.for_each_uninterrupted_interval(horizon,
+                                    [&out](double v) { out.push_back(v); });
+  return out;
+}
+
 TEST(TaskRecord, FailuresWithinCountsInclusive) {
   const auto t = make_task(100.0, {10.0, 50.0, 99.0, 150.0});
   EXPECT_EQ(t.failures_within(100.0), 3u);
@@ -27,6 +36,7 @@ TEST(TaskRecord, UninterruptedIntervalsWithTrailingCensor) {
   EXPECT_DOUBLE_EQ(intervals[0], 10.0);
   EXPECT_DOUBLE_EQ(intervals[1], 20.0);
   EXPECT_DOUBLE_EQ(intervals[2], 70.0);  // censored tail
+  EXPECT_EQ(visited(t, 100.0), intervals);
 }
 
 TEST(TaskRecord, NoFailuresYieldsFullLengthInterval) {
@@ -34,6 +44,7 @@ TEST(TaskRecord, NoFailuresYieldsFullLengthInterval) {
   const auto intervals = t.uninterrupted_intervals(420.0);
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_DOUBLE_EQ(intervals[0], 420.0);
+  EXPECT_EQ(visited(t, 420.0), intervals);
 }
 
 TEST(TaskRecord, IntervalsIgnoreFailuresBeyondHorizon) {
@@ -42,6 +53,7 @@ TEST(TaskRecord, IntervalsIgnoreFailuresBeyondHorizon) {
   ASSERT_EQ(intervals.size(), 2u);
   EXPECT_DOUBLE_EQ(intervals[0], 40.0);
   EXPECT_DOUBLE_EQ(intervals[1], 60.0);
+  EXPECT_EQ(visited(t, 100.0), intervals);
 }
 
 TEST(TaskRecord, FailureExactlyAtHorizonHasNoTrailingInterval) {
@@ -49,6 +61,7 @@ TEST(TaskRecord, FailureExactlyAtHorizonHasNoTrailingInterval) {
   const auto intervals = t.uninterrupted_intervals(100.0);
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_DOUBLE_EQ(intervals[0], 100.0);
+  EXPECT_EQ(visited(t, 100.0), intervals);
 }
 
 TEST(TaskRecord, PriorityAtRespectsChangePoint) {
