@@ -14,13 +14,11 @@
 ///   --threads N     BatchRunner worker threads (0 = hardware)
 ///   --json PATH     export RunArtifacts as JSON
 ///   --csv PATH      export RunArtifact summary rows as CSV
-///   --stats         collect + print the obs counter registry (needs a
-///                   -DCLOUDCR_OBS=ON build to be non-empty)
+///   --stats         collect + print the obs counter registry
 ///   --probe-interval S  sample a time-series probe every S simulated
 ///                   seconds into each artifact
 ///   --trace-out PATH  write a Chrome trace-event JSON per scenario
-///                   ("{name}" expands to the scenario name; needs
-///                   -DCLOUDCR_OBS=ON)
+///                   ("{name}" expands to the scenario name)
 ///   -h / --help     usage
 ///
 /// Flags the binary does not consult are still parsed (so `--threads 8`

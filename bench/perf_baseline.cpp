@@ -15,8 +15,8 @@
 //   perf_baseline --tolerance 0.20        relative slowdown allowed by --check
 //   perf_baseline --reps N                timed repetitions per metric (def 5)
 //   perf_baseline --only SUBSTR           run only matrix metrics whose name
-//                                         contains SUBSTR (the CI obs-overhead
-//                                         A/B uses --only replay_hour; not
+//                                         contains SUBSTR (A/B pairs of one
+//                                         metric, e.g. --only replay_hour; not
 //                                         combinable with --check)
 //
 // Month-scale memory mode (separate from the wall-time matrix — peak RSS is
@@ -331,8 +331,7 @@ std::string google_fixture() {
 }
 
 /// Runs the matrix, restricted to metrics whose name contains `only` (empty
-/// = all). The CI obs-overhead A/B times `--only replay_hour` in an ON and
-/// an OFF build and compares the two JSON documents.
+/// = all).
 std::vector<Metric> run_matrix(std::size_t reps, const std::string& only) {
   std::vector<Metric> metrics;
   const auto want = [&only](const char* name) {

@@ -24,8 +24,7 @@
 //   repro_report --progress                  live per-artifact stderr line
 //                                            (done/total, jobs/s, ETA)
 //   repro_report --stats                     collect + print the merged obs
-//                                            counter registry (non-empty in
-//                                            -DCLOUDCR_OBS=ON builds)
+//                                            counter registry
 //   repro_report --probe-interval S          sample time-series probes every
 //                                            S simulated seconds; one CSV
 //                                            per scenario (see --probes-out)

@@ -10,8 +10,8 @@
 #include "api/stream.hpp"
 #include "ingest/registry.hpp"
 #include "ingest/source.hpp"
-#include "obs/hooks.hpp"
 #include "obs/probe.hpp"
+#include "obs/stats.hpp"
 #include "obs/trace_writer.hpp"
 #include "sched/registry.hpp"
 #include "sim/simulation.hpp"
@@ -21,7 +21,6 @@ namespace cloudcr::api {
 
 namespace {
 
-#if CLOUDCR_OBS_ENABLED
 /// Expands every "{name}" in an obs trace path to the scenario's name, so a
 /// batch of scenarios can share one obs= value without colliding on output.
 std::string expand_trace_path(std::string path, const std::string& name) {
@@ -32,15 +31,11 @@ std::string expand_trace_path(std::string path, const std::string& name) {
   }
   return path;
 }
-#endif
 
 /// Per-run tracer: owns the TraceWriter when the spec requests tracing,
-/// wires it into the SimConfig, and writes the JSON on finish(). In a build
-/// without the instrumentation hooks a trace request degrades to a stderr
-/// notice (results are unaffected either way).
+/// wires it into the SimConfig, and writes the JSON on finish().
 struct RunTracer {
   explicit RunTracer(const ScenarioSpec& spec) {
-#if CLOUDCR_OBS_ENABLED
     if (spec.obs.trace_path.empty()) return;
     obs::TraceWriterOptions opt;
     opt.ring_capacity = static_cast<std::size_t>(spec.obs.trace_ring);
@@ -51,21 +46,10 @@ struct RunTracer {
     }
     writer_.emplace(opt);
     out_path_ = expand_trace_path(spec.obs.trace_path, spec.name);
-#else
-    if (!spec.obs.trace_path.empty()) {
-      std::cerr << "obs: trace requested (" << spec.obs.trace_path
-                << ") but the instrumentation hooks are compiled out; "
-                   "rebuild with -DCLOUDCR_OBS=ON\n";
-    }
-#endif
   }
 
   [[nodiscard]] obs::TraceWriter* get() noexcept {
-#if CLOUDCR_OBS_ENABLED
     return writer_ ? &*writer_ : nullptr;
-#else
-    return nullptr;
-#endif
   }
 
   void host_span(const char* name,
@@ -75,32 +59,22 @@ struct RunTracer {
   }
 
   void finish() {
-#if CLOUDCR_OBS_ENABLED
     if (writer_) writer_->write_json_file(out_path_);
-#endif
   }
 
-#if CLOUDCR_OBS_ENABLED
  private:
   std::optional<obs::TraceWriter> writer_;
   std::string out_path_;
-#endif
 };
 
-/// Flushes the api-layer phase timers into the counter registry (hooks
-/// builds only; a no-op expression otherwise keeps the callsites branchless).
+/// Flushes the api-layer phase timers into the counter registry when the
+/// spec asked for stats.
 void flush_api_timers(const ScenarioSpec& spec, double estimation_s,
                       double replay_s) {
-#if CLOUDCR_OBS_ENABLED
   if (!spec.obs.stats) return;
   obs::st::api_estimation_ns.add(
       static_cast<std::uint64_t>(estimation_s * 1e9));
   obs::st::api_replay_ns.add(static_cast<std::uint64_t>(replay_s * 1e9));
-#else
-  (void)spec;
-  (void)estimation_s;
-  (void)replay_s;
-#endif
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "api/scenario.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -292,6 +293,13 @@ ScenarioSpec parse_scenario(const std::string& text) {
       spec.sim_seed = parse_u64(key, value);
     } else if (key == "detection_delay_s") {
       spec.detection_delay_s = parse_double(key, value);
+      // An infinite delay never lets the replay end; NaN and negative
+      // delays would replay as zero under a cache key of their own.
+      if (!std::isfinite(spec.detection_delay_s) ||
+          spec.detection_delay_s < 0.0) {
+        throw std::invalid_argument("scenario key 'detection_delay_s' = '" +
+                                    value + "': must be finite and >= 0");
+      }
     } else if (key == "shards") {
       // Retired key: artifacts written while sharded replay existed carry
       // it. Still validated so a malformed value fails as it always did.

@@ -19,10 +19,7 @@
 /// The empty string (the default) disables everything. serialize_obs emits
 /// features in the order above, omitting defaults, with doubles at
 /// max_digits10 precision so parse_obs(serialize_obs(s)) round-trips every
-/// field bit-exactly. Note that tracing and stats additionally require a
-/// build with the instrumentation hooks compiled in (cmake -DCLOUDCR_OBS=ON):
-/// in a default build stats degrades to an empty registry and a trace
-/// request is ignored with a stderr notice. Probes work in every build.
+/// field bit-exactly.
 
 #include <cstdint>
 #include <limits>

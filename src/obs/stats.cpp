@@ -164,10 +164,6 @@ Stat storage_opslab_high_water("storage.opslab_high_water",
 Stat api_estimation_ns("api.estimation_ns", StatKind::kTimerNs);
 Stat api_replay_ns("api.replay_ns", StatKind::kTimerNs);
 Stat report_evaluate_ns("report.evaluate_ns", StatKind::kTimerNs);
-Stat svc_cache_hits("svc.cache_hits", StatKind::kCounter);
-Stat svc_cache_misses("svc.cache_misses", StatKind::kCounter);
-Stat svc_snapshot_resumes("svc.snapshot_resumes", StatKind::kCounter);
-Stat svc_snapshot_bytes("svc.snapshot_bytes", StatKind::kGauge);
 }  // namespace st
 
 }  // namespace cloudcr::obs

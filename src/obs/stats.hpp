@@ -13,10 +13,8 @@
 /// grid pin "serial == threaded" for observability output too.
 ///
 /// Stats are registered as namespace-scope objects (the built-ins live in
-/// obs::st below); hot call sites go through the CLOUDCR_OBS_* macros in
-/// obs/hooks.hpp, which compile to nothing unless the build enables the
-/// instrumentation hooks (cmake -DCLOUDCR_OBS=ON). This header itself is
-/// always compiled, so the registry is unit-testable in every build.
+/// obs::st below). A run adds to them only when its spec sets obs=stats;
+/// the replay's hot paths count in plain members and add once, at the end.
 ///
 /// Collector lifetime: a thread's collector is owned by the global
 /// registry and survives the thread, so counts flushed by BatchRunner
@@ -103,8 +101,8 @@ class ScopedTimerNs {
 
 // -- built-in stats ----------------------------------------------------------
 // Naming scheme: <layer>.<noun>[_<qualifier>] — see docs/observability.md.
-// Populated by the hooks threaded through the engine; all zero unless the
-// build compiled the hooks in and a run asked for stats collection.
+// Populated at the end of each run that asked for stats collection
+// (obs=stats); all zero otherwise.
 
 namespace st {
 extern Stat sim_events_popped;        ///< engine events dispatched
@@ -120,10 +118,6 @@ extern Stat storage_opslab_high_water;///< max live storage ops (gauge)
 extern Stat api_estimation_ns;        ///< host ns in the estimation pass
 extern Stat api_replay_ns;            ///< host ns in the replay pass
 extern Stat report_evaluate_ns;       ///< host ns evaluating report entries
-extern Stat svc_cache_hits;           ///< SimService artifact-cache hits
-extern Stat svc_cache_misses;         ///< SimService artifact-cache misses
-extern Stat svc_snapshot_resumes;     ///< what-if runs resumed from snapshots
-extern Stat svc_snapshot_bytes;       ///< parked snapshot footprint (gauge)
 }  // namespace st
 
 }  // namespace cloudcr::obs

@@ -11,8 +11,8 @@
 
 #include "api/batch.hpp"
 #include "api/runner.hpp"
-#include "obs/hooks.hpp"
 #include "obs/spec.hpp"
+#include "obs/stats.hpp"
 #include "report/registry.hpp"
 
 namespace cloudcr::report {
@@ -134,16 +134,12 @@ ReportResult run_report(const ReportOptions& options) {
     EntryContext ctx{artifacts, traces, human};
     EntryResult entry;
     entry.experiment = e;
-#if CLOUDCR_OBS_ENABLED
     const auto eval_start = Clock::now();
-#endif
     entry.metrics = e->evaluate(ctx);
-#if CLOUDCR_OBS_ENABLED
     if (obs_override && obs_override->stats) {
       obs::st::report_evaluate_ns.add(
           static_cast<std::uint64_t>(seconds_since(eval_start) * 1e9));
     }
-#endif
     // Entry wall: its own trace materialization + evaluation, plus the
     // replay time its artifacts actually consumed inside the shared batch.
     entry.wall_s = seconds_since(entry_start);

@@ -66,13 +66,11 @@ struct SimConfig {
   /// never changes simulation results.
   double probe_interval_s = 0.0;
 
-  /// Collect the obs counter registry for this run (only effective in a
-  /// build with the instrumentation hooks compiled in, -DCLOUDCR_OBS=ON).
+  /// Add this run's work counters to the obs counter registry at its end.
   bool collect_stats = false;
 
   /// Optional dual-clock trace writer (borrowed, must outlive the run; the
-  /// ScenarioRunner owns it). Null = tracing off. Ignored — with a stderr
-  /// notice at the api layer — when the hooks are compiled out.
+  /// ScenarioRunner owns it). Null = tracing off.
   obs::TraceWriter* tracer = nullptr;
 };
 

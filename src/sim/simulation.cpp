@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/stats.hpp"
 #include "obs/trace_writer.hpp"
 
 namespace cloudcr::sim {
@@ -42,7 +43,7 @@ void Simulation::begin_run() {
   // Stats runs restart from pristine calendar tuning so tuning counters
   // (sim.queue_rebuilds) are spec-deterministic — a pooled queue otherwise
   // carries the previous run's bucket layout into this run's counts.
-  CLOUDCR_OBS_STMT(if (config_.collect_stats) engine_.reset_queue_tuning());
+  if (config_.collect_stats) engine_.reset_queue_tuning();
   tasks_.clear();
   ws_.jobs.clear();
   ws_.pending.clear();
@@ -79,26 +80,20 @@ void Simulation::begin_run() {
   probe_active_jobs_ = 0;
   probe_wpr_sum_ = 0.0;
   probe_wpr_n_ = 0;
-#if CLOUDCR_OBS_ENABLED
   tally_ = ObsTally{};
   trace_task_start_.clear();
   trace_vm_start_.clear();
-#endif
 }
 
 SimResult Simulation::end_run() {
-#if CLOUDCR_OBS_ENABLED
   const auto obs_drain_t0 = std::chrono::steady_clock::now();
-#endif
   if (config_.probe_interval_s > 0.0) drain_probes();
   result_.events_dispatched += engine_.run();
   result_.makespan_s = engine_.now();
-#if CLOUDCR_OBS_ENABLED
   if (config_.tracer != nullptr) {
     config_.tracer->host_span("drain", obs_drain_t0,
                               std::chrono::steady_clock::now());
   }
-#endif
   // Finished jobs accumulated their totals in finish_job (their rows may
   // already be recycled); whatever is still active never finished.
   for (const auto& job : ws_.jobs) {
@@ -111,7 +106,7 @@ SimResult Simulation::end_run() {
       result_.total_failures += acct.failures;
     }
   }
-  CLOUDCR_OBS_STMT(flush_stats());
+  flush_stats();
   return std::move(result_);
 }
 
@@ -164,7 +159,6 @@ void Simulation::take_probe(double t_s) {
   result_.probes.push_back(p);
 }
 
-#if CLOUDCR_OBS_ENABLED
 void Simulation::flush_stats() {
   if (!config_.collect_stats) return;
   namespace st = obs::st;
@@ -238,7 +232,6 @@ void Simulation::trace_vm_leave(std::size_t task_idx) {
       obs::kVmPid, static_cast<std::uint64_t>(tasks_.vm[task_idx]), name,
       obs::kCatVm, trace_vm_start_[task_idx], engine_.now());
 }
-#endif  // CLOUDCR_OBS_ENABLED
 
 std::uint32_t Simulation::alloc_job_slot() {
   if (!ws_.free_jobs.empty()) {
@@ -268,7 +261,7 @@ void Simulation::retire_job(std::uint32_t job_slot) {
   if (job.n_tasks > 0) {
     ws_.free_spans[job.n_tasks].push_back(
         static_cast<std::uint32_t>(job.first_task));
-    CLOUDCR_OBS_STMT(tally_.rows_recycled += job.n_tasks);
+    tally_.rows_recycled += job.n_tasks;
   }
   job.owned.clear();  // releases each record's failure-date storage
   ws_.free_jobs.push_back(job_slot);
@@ -297,10 +290,10 @@ void Simulation::admit_job(trace::JobRecord&& rec) {
   // arrival was a queued engine event.
   ++result_.events_dispatched;
   ++probe_active_jobs_;
-  CLOUDCR_OBS_STMT(if (config_.tracer != nullptr) {
+  if (config_.tracer != nullptr) {
     config_.tracer->sim_instant(obs::kJobPid, job.id, "submit", obs::kCatJob,
                                 engine_.now());
-  });
+  }
   if (job.n_tasks == 0) return;
   if (!sched_active_) {
     on_job_arrival(slot);
@@ -356,13 +349,11 @@ SimResult Simulation::run_stream(JobSource& source, std::size_t batch_jobs,
   if (batch_jobs == 0) batch_jobs = 1;
   std::uint64_t admitted = to_skip;
   bool taken = control.capture == nullptr;
-#if CLOUDCR_OBS_ENABLED
   const auto obs_adm_t0 = std::chrono::steady_clock::now();
-#endif
   while (true) {
     ws_.chunk.clear();
     if (source.next_jobs(batch_jobs, ws_.chunk) == 0) break;
-    CLOUDCR_OBS_STMT(++tally_.stream_batches);
+    ++tally_.stream_batches;
     for (auto& rec : ws_.chunk) {
       if (to_skip > 0) {
         --to_skip;
@@ -385,12 +376,10 @@ SimResult Simulation::run_stream(JobSource& source, std::size_t batch_jobs,
   // A fork beyond the last arrival snapshots the fully-admitted state; the
   // resumed run then only replays the final drain.
   if (!taken) capture_snapshot(*control.capture, admitted);
-#if CLOUDCR_OBS_ENABLED
   if (config_.tracer != nullptr) {
     config_.tracer->host_span("admission", obs_adm_t0,
                               std::chrono::steady_clock::now());
   }
-#endif
   SimResult result = end_run();
   policy_override_ = nullptr;
   return result;
@@ -521,14 +510,12 @@ void Simulation::restore_snapshot(const SimSnapshot& snap) {
   probe_wpr_n_ = snap.probe_wpr_n;
   result_ = snap.result;
   config_.detection_delay_s = snap.detection_delay_s;
-#if CLOUDCR_OBS_ENABLED
   // Tallies and tracer spans restart at the fork: a resumed run's obs
   // counters cover the post-fork segment only (results are unaffected —
   // counters never feed back into the replay).
   tally_ = ObsTally{};
   trace_task_start_.clear();
   trace_vm_start_.clear();
-#endif
 }
 
 void Simulation::on_job_arrival(std::size_t job_idx) {
@@ -614,7 +601,7 @@ void Simulation::try_dispatch() {
   // host exclusion) can succeed.
   if (pending_min_mb_ > cluster_.max_available_mb()) return;
 
-  CLOUDCR_OBS_STMT(++tally_.placement_sweeps);
+  ++tally_.placement_sweeps;
   std::size_t out = 0;
   double new_min = kInf;
   for (std::size_t i = 0; i < ws_.pending.size(); ++i) {
@@ -662,7 +649,7 @@ bool Simulation::dispatch(std::size_t task_idx) {
   }
   arm(task_idx);
   ++probe_running_tasks_;
-  CLOUDCR_OBS_STMT(trace_begin_span(task_idx, engine_.now(), true));
+  trace_begin_span(task_idx, engine_.now(), true);
   return true;
 }
 
@@ -774,7 +761,7 @@ void Simulation::wake(std::size_t task_idx, Wakeup kind) {
 
 void Simulation::leave_vm(std::size_t task_idx) {
   if (tasks_.vm[task_idx] != TaskTable::kNoVm) {
-    CLOUDCR_OBS_STMT(trace_vm_leave(task_idx));
+    trace_vm_leave(task_idx);
     cluster_.release(static_cast<VmId>(tasks_.vm[task_idx]),
                      tasks_.memory_mb[task_idx]);
     tasks_.vm[task_idx] = TaskTable::kNoVm;
@@ -783,8 +770,8 @@ void Simulation::leave_vm(std::size_t task_idx) {
 }
 
 void Simulation::handle_kill(std::size_t task_idx) {
-  CLOUDCR_OBS_STMT(trace_end_span(task_idx, engine_.now()));
-  CLOUDCR_OBS_STMT(trace_instant(task_idx, "failure"));
+  trace_end_span(task_idx, engine_.now());
+  trace_instant(task_idx, "failure");
   TaskAccounting& acct = tasks_.acct[task_idx];
   ++acct.failures;
   tasks_.advance_failure_cursor(task_idx);
@@ -859,18 +846,21 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
   const std::size_t host =
       cluster_.vm(static_cast<VmId>(tasks_.vm[task_idx])).host();
   TaskAccounting& acct = tasks_.acct[task_idx];
+  // Read once: the loop's calls could alias config_, so a member test
+  // would be reloaded on every inline checkpoint.
+  obs::TraceWriter* const tracer = config_.tracer;
   double vt = engine_.now();
 
   while (true) {
     // -- the due transition (begin the write) -------------------------------
-    CLOUDCR_OBS_STMT(trace_end_span(task_idx, vt));  // the "run" span so far
+    if (tracer != nullptr) trace_end_span(task_idx, vt);  // the "run" span
     const auto ticket =
         backend->begin_priced(tasks_.ckpt_price[task_idx], host);
     ++acct.checkpoints;
     acct.checkpoint_cost_s += ticket.cost;
     tasks_.hot[task_idx].ckpt_progress_s = tasks_.hot[task_idx].progress_s;
     tasks_.hot[task_idx].phase = TaskPhase::kCheckpointing;
-    CLOUDCR_OBS_STMT(trace_begin_span(task_idx, vt, false));
+    if (tracer != nullptr) trace_begin_span(task_idx, vt, false);
     tasks_.hot[task_idx].phase_end_active =
         tasks_.hot[task_idx].active_s + ticket.cost;
 
@@ -900,7 +890,7 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
             ? tasks_.rec[task_idx]->priority_change_time - active0
             : kInf;
     if (!(done_delta < kill_delta && done_delta < prio_delta)) {
-      CLOUDCR_OBS_STMT(++tally_.ckpt_evented);
+      ++tally_.ckpt_evented;
       arm_from(task_idx, vt);
       return;
     }
@@ -913,10 +903,10 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
     tasks_.hot[task_idx].last_sync_s = done_time;
     tasks_.hot[task_idx].saved_s = tasks_.hot[task_idx].ckpt_progress_s;
     tasks_.controller[task_idx]->on_checkpoint(tasks_.hot[task_idx].saved_s);
-    CLOUDCR_OBS_STMT(++tally_.ckpt_compressed);
-    CLOUDCR_OBS_STMT(trace_end_span(task_idx, done_time));  // the "ckpt" span
+    ++tally_.ckpt_compressed;
+    if (tracer != nullptr) trace_end_span(task_idx, done_time);  // "ckpt"
     tasks_.hot[task_idx].phase = TaskPhase::kExecuting;
-    CLOUDCR_OBS_STMT(trace_begin_span(task_idx, done_time, false));
+    if (tracer != nullptr) trace_begin_span(task_idx, done_time, false);
     vt = done_time;
 
     // -- the post-checkpoint arm, against the virtual state -----------------
@@ -965,23 +955,23 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
 }
 
 void Simulation::handle_checkpoint_done(std::size_t task_idx) {
-  CLOUDCR_OBS_STMT(trace_end_span(task_idx, engine_.now()));
+  trace_end_span(task_idx, engine_.now());
   tasks_.hot[task_idx].saved_s = tasks_.hot[task_idx].ckpt_progress_s;
   tasks_.controller[task_idx]->on_checkpoint(tasks_.hot[task_idx].saved_s);
   tasks_.hot[task_idx].phase = TaskPhase::kExecuting;
-  CLOUDCR_OBS_STMT(trace_begin_span(task_idx, engine_.now(), false));
+  trace_begin_span(task_idx, engine_.now(), false);
   arm(task_idx);
 }
 
 void Simulation::handle_restore_done(std::size_t task_idx) {
-  CLOUDCR_OBS_STMT(trace_end_span(task_idx, engine_.now()));
+  trace_end_span(task_idx, engine_.now());
   tasks_.hot[task_idx].phase = TaskPhase::kExecuting;
-  CLOUDCR_OBS_STMT(trace_begin_span(task_idx, engine_.now(), false));
+  trace_begin_span(task_idx, engine_.now(), false);
   arm(task_idx);
 }
 
 void Simulation::handle_complete(std::size_t task_idx) {
-  CLOUDCR_OBS_STMT(trace_end_span(task_idx, engine_.now()));
+  trace_end_span(task_idx, engine_.now());
   tasks_.hot[task_idx].progress_s = tasks_.length_s[task_idx];
   tasks_.hot[task_idx].phase = TaskPhase::kDone;
   tasks_.acct[task_idx].done_s = engine_.now();
@@ -1040,10 +1030,10 @@ void Simulation::finish_job(std::uint32_t job_slot) {
   probe_wpr_sum_ += out.wpr();
   ++probe_wpr_n_;
   --probe_active_jobs_;
-  CLOUDCR_OBS_STMT(if (config_.tracer != nullptr) {
+  if (config_.tracer != nullptr) {
     config_.tracer->sim_span(obs::kJobPid, job.id, "job", obs::kCatJob,
                              job.arrival_s, engine_.now());
-  });
+  }
   retire_job(job_slot);
 
   if (sched_active_) {
@@ -1129,7 +1119,7 @@ void Simulation::sched_pump_once() {
   view.max_available_mb = cluster_.max_available_mb();
   view.total_capacity_mb = total_capacity_mb_;
   sched_decision_.clear();
-  CLOUDCR_OBS_STMT(++tally_.sched_decides);
+  ++tally_.sched_decides;
   config_.scheduler->decide(view, sched_queue_, sched_running_,
                             sched_decision_);
 
@@ -1157,10 +1147,10 @@ void Simulation::sched_pump_once() {
     const sched::PendingJob p = sched_queue_[pos];
     JobState& job = ws_.jobs[p.slot];
     job.sched_wait_s = now - p.arrival_s;
-    CLOUDCR_OBS_STMT(if (config_.tracer != nullptr && job.sched_wait_s > 0.0) {
+    if (config_.tracer != nullptr && job.sched_wait_s > 0.0) {
       config_.tracer->sim_span(obs::kJobPid, p.id, "sched wait", obs::kCatJob,
                                p.arrival_s, now);
-    });
+    }
     job.backfilled = any_held;  // passed at least one still-held earlier job
     sched::RunningJob r;
     r.id = p.id;
@@ -1189,7 +1179,7 @@ void Simulation::sched_pump_once() {
   if (!sched_queue_.empty() && std::isfinite(wake) && wake > now) {
     sched_wake_event_ = engine_.schedule_at(wake, [this] {
       sched_wake_event_ = TaskTable::kNoEvent;
-      CLOUDCR_OBS_STMT(++tally_.sched_wakeups);
+      ++tally_.sched_wakeups;
       sched_pump();
     });
   }
@@ -1252,8 +1242,8 @@ void Simulation::preempt_job_tasks(std::uint32_t job_slot,
     }
     sync_clock(t);
     cancel_pending_event(t);
-    CLOUDCR_OBS_STMT(trace_end_span(t, engine_.now()));
-    CLOUDCR_OBS_STMT(trace_instant(t, "evict"));
+    trace_end_span(t, engine_.now());
+    trace_instant(t, "evict");
     TaskAccounting& acct = tasks_.acct[t];
     const double unspent = std::max(
         0.0, tasks_.hot[t].phase_end_active - tasks_.hot[t].active_s);

@@ -36,7 +36,6 @@
 
 #include "core/controller.hpp"
 #include "core/policy.hpp"
-#include "obs/hooks.hpp"
 #include "sim/cluster.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
@@ -181,8 +180,8 @@ struct SimSnapshot {
   /// Engine time when the snapshot was taken.
   double taken_at = 0.0;
 
-  /// Rough heap footprint of the captured state, for the
-  /// svc.snapshot_bytes gauge. Estimate, not an allocator census.
+  /// Rough heap footprint of the captured state, for
+  /// svc::ServiceStats::snapshot_bytes. Estimate, not an allocator census.
   [[nodiscard]] std::size_t approx_bytes() const;
 };
 
@@ -332,11 +331,10 @@ class Simulation {
   void preempt_job_tasks(std::uint32_t job_slot, sched::PreemptMode mode);
 
   // -- observability ----------------------------------------------------------
-  // Probe sampling is always compiled: it rides the admission-loop boundary
-  // (pump_probes_before / drain_probes chunk the existing engine drains at
-  // probe ticks), so it adds no engine events and cannot change results.
-  // Counter tallies and tracer emission are compiled out with the hooks
-  // (obs/hooks.hpp) unless -DCLOUDCR_OBS=ON.
+  // Probe sampling rides the admission-loop boundary (pump_probes_before /
+  // drain_probes chunk the existing engine drains at probe ticks), so it
+  // adds no engine events and cannot change results. The trace_* helpers
+  // emit only when SimConfig::tracer is non-null.
   /// Dispatches events and takes probe samples up to (excluding) `t_stop`,
   /// accumulating dispatched-event counts into the result.
   void pump_probes_before(double t_stop);
@@ -345,7 +343,6 @@ class Simulation {
   /// Snapshots cluster/queue/job state at simulated time `t_s`.
   void take_probe(double t_s);
 
-#if CLOUDCR_OBS_ENABLED
   /// Per-run event tallies, flushed into the process-wide obs registry at
   /// end_run when SimConfig::collect_stats is set. Deterministic quantities
   /// only, so serial and threaded batch runs merge to identical registries.
@@ -369,7 +366,6 @@ class Simulation {
   void trace_instant(std::size_t task_idx, const char* name);
   /// Emits the VM-residency span ending now on the VM track.
   void trace_vm_leave(std::size_t task_idx);
-#endif
 
   // -- helpers ---------------------------------------------------------------
   /// Accrues active (and productive) time since the last sync.
@@ -423,11 +419,9 @@ class Simulation {
   std::uint64_t probe_active_jobs_ = 0;    ///< admitted, not yet finished
   double probe_wpr_sum_ = 0.0;  ///< running sum of completed jobs' WPR
   std::uint64_t probe_wpr_n_ = 0;
-#if CLOUDCR_OBS_ENABLED
   ObsTally tally_;
   std::vector<double> trace_task_start_;  ///< phase-span start per task row
   std::vector<double> trace_vm_start_;    ///< VM-residency start per task row
-#endif
 
   SimResult result_;
 };

@@ -209,11 +209,18 @@ Request parse_request(const std::string& line) {
         saw_specs = true;
       } else if (key == "fork_at") {
         request.fork_at = cursor.parse_number();
+        if (request.fork_at < 0.0) {
+          throw std::invalid_argument("request: \"fork_at\" must be >= 0");
+        }
         saw_fork = true;
       } else if (key == "policy") {
         request.policy = cursor.parse_string();
       } else if (key == "detection_delay_s") {
         request.detection_delay_s = cursor.parse_number();
+        if (*request.detection_delay_s < 0.0) {
+          throw std::invalid_argument(
+              "request: \"detection_delay_s\" must be >= 0");
+        }
       } else if (key == "outcomes") {
         request.outcomes = cursor.parse_bool();
       } else {

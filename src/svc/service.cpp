@@ -8,7 +8,6 @@
 #include "api/batch.hpp"
 #include "api/fingerprint.hpp"
 #include "api/registry.hpp"
-#include "obs/hooks.hpp"
 #include "sim/simulation.hpp"
 
 namespace cloudcr::svc {
@@ -82,14 +81,12 @@ SimService::ArtifactFuture SimService::lookup(
     creator = false;
     hit = true;
     ++stats_.cache_hits;
-    CLOUDCR_OBS_ADD(obs::st::svc_cache_hits, 1);
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->future;
   }
   creator = true;
   hit = false;
   ++stats_.cache_misses;
-  CLOUDCR_OBS_ADD(obs::st::svc_cache_misses, 1);
   ArtifactFuture future = promise.get_future().share();
   lru_.push_front(CacheSlot{key, future});
   index_.emplace(key, lru_.begin());
@@ -263,8 +260,6 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
         {
           const std::lock_guard<std::mutex> lock(mu_);
           ++stats_.snapshot_captures;
-          CLOUDCR_OBS_ADD(obs::st::svc_snapshot_bytes,
-                          parked_bytes_locked());
         }
       }
       auto artifact =
@@ -273,7 +268,6 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
       {
         const std::lock_guard<std::mutex> lock(mu_);
         ++stats_.snapshot_resumes;
-        CLOUDCR_OBS_ADD(obs::st::svc_snapshot_resumes, 1);
       }
       promise.set_value(std::move(artifact));
     } catch (...) {

@@ -61,8 +61,7 @@ struct ServiceOptions {
   std::size_t threads = 0;
 };
 
-/// Plain-struct service counters, available in every build (the obs-layer
-/// svc.* stats mirror these in instrumented builds only).
+/// The service's counters, read by the `stats` op (svc/protocol.hpp).
 struct ServiceStats {
   std::uint64_t cache_hits = 0;     ///< requests answered from the cache
   std::uint64_t cache_misses = 0;   ///< requests that executed a run

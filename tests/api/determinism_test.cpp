@@ -5,6 +5,7 @@
 // CI perf baseline) trustworthy: no run can depend on thread schedule,
 // buffer reuse, or which worker happened to replay it.
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -156,7 +157,13 @@ TEST(ObservabilityDeterminism, MergedRegistryIsThreadCountIndependent) {
 
   const std::string serial = registry_text(1);
   const std::string threaded = registry_text(4);
+  // Two all-zero registries would compare equal too: the runs must count.
+  std::uint64_t events = 0;
+  for (const obs::StatValue& v : obs::stats_snapshot()) {
+    if (v.name == "sim.events_popped") events = v.value;
+  }
   obs::reset_stats();
+  EXPECT_GT(events, 0u);
   EXPECT_EQ(serial, threaded)
       << "merged counter registry depends on the worker partition";
 }

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "api/scenario.hpp"
 
@@ -181,6 +182,17 @@ TEST(ScenarioSerialization, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("trace.sample_job_filter=maybe"),
                std::invalid_argument);
+  for (const char* delay : {"inf", "-inf", "nan", "-5"}) {
+    SCOPED_TRACE(delay);
+    try {
+      (void)parse_scenario(std::string("detection_delay_s=") + delay);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      SCOPED_TRACE(message);
+      EXPECT_NE(message.find("detection_delay_s"), std::string::npos);
+    }
+  }
 }
 
 TEST(EnumTokens, RoundTrip) {

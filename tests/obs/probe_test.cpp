@@ -1,7 +1,6 @@
 // Time-series probes: sampling must never change results (bit-identity
 // probes on vs off), samples land on the configured cadence, and the
-// CSV/JSON renderings match the documented schema. Probes are compiled in
-// every build, so none of this is gated on CLOUDCR_OBS.
+// CSV/JSON renderings match the documented schema.
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,5 @@
 // Counter/timer/gauge registry: per-thread collection, order-independent
-// merges, snapshot sorting, and the text/JSON renderings. The registry is
-// compiled in every build (only the hot-path hooks are gated), so these
-// tests run with and without CLOUDCR_OBS.
+// merges, snapshot sorting, and the text/JSON renderings.
 
 #include <gtest/gtest.h>
 

@@ -1,9 +1,10 @@
-// The serve loop under trace specs that used to spin the generator forever:
-// a NaN horizon or arrival rate (NaN passes every "<= 0" test, and the
-// arrival loop ends only once an arrival passes the horizon). Each such
-// request must be answered ok:false with the field named, and the request
-// after it must still be answered. An infinite horizon capped by max_jobs
-// stays a valid request.
+// The serve loop under requests that used to spin forever: a NaN horizon or
+// arrival rate (NaN passes every "<= 0" test, and the arrival loop ends only
+// once an arrival passes the horizon), and an infinite failure-detection
+// delay (the re-dispatch is scheduled at t = inf). Each such request, and a
+// what-if with a negative time, must be answered ok:false with the field
+// named, and the request after it must still be answered. An infinite
+// horizon capped by max_jobs stays a valid request.
 
 #include <sstream>
 #include <string>
@@ -32,21 +33,29 @@ bool contains(const std::string& text, const std::string& part) {
   return text.find(part) != std::string::npos;
 }
 
-TEST(Serve, NonFiniteTraceSpecIsRefusedAndTheNextRequestAnswered) {
+TEST(Serve, UnboundedRequestIsRefusedAndTheNextRequestAnswered) {
   struct Case {
-    const char* spec;   ///< JSON string body of the "spec" field
-    const char* field;  ///< named in the error
+    std::string request;  ///< one request line
+    const char* field;    ///< named in the error
+  };
+  const auto run = [](const char* spec) {
+    return std::string("{\"op\":\"run\",\"spec\":\"") + spec + "\"}";
+  };
+  const auto whatif = [](const char* fields) {
+    return std::string("{\"op\":\"whatif\",\"spec\":\"\",") + fields + "}";
   };
   const Case cases[] = {
-      {"trace.horizon_s=nan", "horizon_s"},
-      {"trace.arrival_rate=nan", "arrival_rate"},
-      {"trace.arrival_rate=inf", "arrival_rate"},
-      {"estimation=history\\nhistory.horizon_s=nan", "horizon_s"},
+      {run("trace.horizon_s=nan"), "horizon_s"},
+      {run("trace.arrival_rate=nan"), "arrival_rate"},
+      {run("trace.arrival_rate=inf"), "arrival_rate"},
+      {run("estimation=history\\nhistory.horizon_s=nan"), "horizon_s"},
+      {run("detection_delay_s=inf\\ntrace.horizon_s=600"), "detection_delay_s"},
+      {whatif("\"fork_at\":-1"), "fork_at"},
+      {whatif("\"fork_at\":0,\"detection_delay_s\":-1"), "detection_delay_s"},
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.spec);
-    const auto lines = serve_lines(std::string("{\"op\":\"run\",\"spec\":\"") +
-                                   c.spec + "\"}\n{\"op\":\"stats\"}\n");
+    SCOPED_TRACE(c.request);
+    const auto lines = serve_lines(c.request + "\n{\"op\":\"stats\"}\n");
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_TRUE(contains(lines[0], "\"ok\":false")) << lines[0];
     EXPECT_TRUE(contains(lines[0], c.field)) << lines[0];
