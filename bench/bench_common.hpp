@@ -5,9 +5,10 @@
 ///
 /// The scenario construction that used to live here moved into the library
 /// (src/report/scenarios.hpp) when the fig/tab experiments became registry
-/// entries; this header re-exports it for the remaining hand-rolled benches
-/// (the ablations) and keeps the one helper that depends on the bench CLI
-/// (run_grid over BenchArgs).
+/// entries; this header re-exports it, and the shared bench CLI
+/// (report::BenchArgs), for the remaining hand-rolled benches (the
+/// ablations), and keeps the one helper that depends on that CLI (run_grid
+/// over BenchArgs).
 
 #include <cstdlib>
 #include <exception>
@@ -17,11 +18,12 @@
 #include "api/batch.hpp"
 #include "api/runner.hpp"
 #include "metrics/report.hpp"
+#include "report/bench_args.hpp"
 #include "report/scenarios.hpp"
 
-#include "bench_args.hpp"
-
 namespace cloudcr::bench {
+
+using report::BenchArgs;
 
 using report::kArrivalRate;
 using report::kDayHorizon;

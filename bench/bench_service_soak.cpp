@@ -20,11 +20,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,12 +209,35 @@ int run_soak(const SoakConfig& config) {
   return failed;
 }
 
-double parse_double_flag(const std::string& flag, const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
-    std::cerr << "bench_service_soak: " << flag << " needs a number, got '"
-              << text << "'\n";
+/// A count flag: an unsigned integer above 0.
+std::size_t parse_count_flag(const std::string& flag, const char* text) {
+  std::uint64_t value = 0;
+  try {
+    value = cloudcr::api::parse_checked_u64(flag, text);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bench_service_soak: " << e.what() << "\n";
+    std::exit(2);
+  }
+  if (value == 0) {
+    std::cerr << "bench_service_soak: " << flag << " must be > 0\n";
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(value);
+}
+
+/// A gate threshold: a finite number above 0. A NaN or non-positive
+/// threshold would switch its gate off instead of failing it.
+double parse_threshold_flag(const std::string& flag, const char* text) {
+  double value = 0.0;
+  try {
+    value = cloudcr::api::parse_checked_double(flag, text);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bench_service_soak: " << e.what() << "\n";
+    std::exit(2);
+  }
+  if (!(std::isfinite(value) && value > 0.0)) {
+    std::cerr << "bench_service_soak: " << flag
+              << " must be finite and > 0, got '" << text << "'\n";
     std::exit(2);
   }
   return value;
@@ -226,17 +251,20 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--clients" && has_value) {
-      config.clients =
-          static_cast<std::size_t>(parse_double_flag(arg, argv[++i]));
+      config.clients = parse_count_flag(arg, argv[++i]);
     } else if (arg == "--requests" && has_value) {
-      config.requests_per_client =
-          static_cast<std::size_t>(parse_double_flag(arg, argv[++i]));
+      config.requests_per_client = parse_count_flag(arg, argv[++i]);
     } else if (arg == "--hit-under-ms" && has_value) {
-      config.hit_under_ms = parse_double_flag(arg, argv[++i]);
+      config.hit_under_ms = parse_threshold_flag(arg, argv[++i]);
     } else if (arg == "--hit-fraction" && has_value) {
-      config.hit_fraction = parse_double_flag(arg, argv[++i]);
+      config.hit_fraction = parse_threshold_flag(arg, argv[++i]);
+      if (config.hit_fraction > 1.0) {
+        std::cerr << "bench_service_soak: --hit-fraction must be <= 1, got '"
+                  << argv[i] << "'\n";
+        return 2;
+      }
     } else if (arg == "--max-rss-mb" && has_value) {
-      config.max_rss_mb = parse_double_flag(arg, argv[++i]);
+      config.max_rss_mb = parse_threshold_flag(arg, argv[++i]);
     } else if (arg == "--json" && has_value) {
       config.json_path = argv[++i];
     } else {

@@ -13,7 +13,8 @@
 //   repro_report --fast                      the quick subset
 //   repro_report --md OUT.md --json OUT.json write the report artifacts
 //   repro_report --expected FILE.json        expected doc (default: the
-//                                            checked-in baseline)
+//                                            checked-in baseline; '' runs
+//                                            ungated)
 //   repro_report --update-expected FILE      rewrite expectations from this
 //                                            run (review the diff!)
 //   repro_report --docs OUT.md               regenerate docs/experiments.md
@@ -30,7 +31,8 @@
 //                                            per scenario (see --probes-out)
 //   repro_report --probes-out DIR            probe CSV directory (default .)
 //
-// Exit codes: 0 gate passed (or skipped), 1 gate failed, 2 CLI/IO error.
+// Exit codes: 0 gate passed (or skipped), 1 gate failed, 2 CLI/IO error
+// (an expected document that cannot be read or parsed included).
 //
 // The obs flags are additive: they never change metrics, so the
 // expected-value gate still applies to instrumented runs.
@@ -327,16 +329,18 @@ int main(int argc, char** argv) {
     expected_path = update_path;  // gate against what we just wrote
   }
 
-  // Compare each entry against the expected document (when available).
+  // Compare each entry against the expected document. A named document
+  // that cannot be read or parsed is an error, not a skipped gate: gating
+  // against nothing would pass. Only an empty path runs ungated.
   report::ExpectedDoc expected;
-  bool have_expected = false;
-  if (!expected_path.empty()) {
+  const bool have_expected = !expected_path.empty();
+  if (have_expected) {
     try {
       expected = report::read_expected_file(expected_path);
-      have_expected = true;
     } catch (const std::exception& e) {
-      std::cerr << "expected-value document unavailable: " << e.what()
-                << "\n";
+      std::cerr << "expected-value document " << expected_path
+                << " is unusable: " << e.what() << "\n";
+      return 2;
     }
   }
   std::vector<report::EntryReport> entries;

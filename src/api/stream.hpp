@@ -28,9 +28,10 @@
 ///     replay stream then *consumes* it chunk by chunk — one cursor read
 ///     shared by both phases, and no second parse of a multi-hundred-MB log.
 ///
-/// reads()/rows_read() expose the pass accounting; perf_baseline's
-/// month-scale mode reports them and tests/api/stream_determinism_test pins
-/// the counts per source kind.
+/// reads()/rows_read() expose the pass accounting; `perf_baseline
+/// --month-scale` reports them, tests/api/stream_determinism_test pins the
+/// counts per source kind, and tests/obs/work_counters_test pins them for
+/// the synthetic and Google-format replays it gates.
 ///
 /// Whether the replay stream is also memory-bounded depends on the source
 /// (SharedTraceCursor::streams_lazily): synthetic workloads generate on

@@ -49,10 +49,9 @@ std::string parse_string_at(const std::string& text, std::size_t pos,
 }  // namespace
 
 ExpectedDoc parse_expected(const std::string& json_text) {
-  // Minimal scanner for the documents write_expected() produces (same
-  // approach as perf_baseline's parser): field order is fixed by the
-  // writer — id, then metrics[] of {name, value, tolerance} — and unknown
-  // fields between them are skipped naturally.
+  // Minimal scanner for the documents write_expected() produces: field
+  // order is fixed by the writer — id, then metrics[] of {name, value,
+  // tolerance} — and unknown fields between them are skipped naturally.
   if (json_text.find("\"schema\":\"" + std::string(kExpectedSchema) + "\"") ==
       std::string::npos) {
     throw std::runtime_error("expected-value document schema mismatch (want " +

@@ -5,9 +5,8 @@
 /// expectations, and the comparator that turns a run's metrics into
 /// pass/deviation/missing verdicts.
 ///
-/// Mirrors the perf-baseline pattern (bench/perf_baseline.cpp +
-/// BENCH_engine.baseline.json): expectations live in a schema-versioned
-/// JSON document (bench/REPRO_expected.baseline.json), written by
+/// Expectations live in a schema-versioned JSON document
+/// (bench/REPRO_expected.baseline.json), written by
 /// `repro_report --update-expected` from a real run and diffed in review.
 /// Runs are deterministic per machine, so the tolerance only absorbs
 /// cross-platform libm variation; it is recorded per metric from the

@@ -1,19 +1,14 @@
 #include "report/shim.hpp"
 
-#include <cstdlib>
 #include <exception>
 #include <iostream>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "api/artifact_io.hpp"
 #include "api/scenario.hpp"
-#include "ingest/registry.hpp"
 #include "metrics/report.hpp"
-#include "obs/spec.hpp"
 #include "obs/stats.hpp"
+#include "report/bench_args.hpp"
 #include "report/compare.hpp"
 #include "report/registry.hpp"
 #include "report/runner.hpp"
@@ -21,120 +16,6 @@
 namespace cloudcr::report {
 
 namespace {
-
-/// The historical bench CLI (bench/bench_args.hpp contract), re-parsed here
-/// so src/report does not depend on bench/.
-struct ShimArgs {
-  std::optional<std::uint64_t> seed;
-  std::optional<double> horizon_s;
-  std::optional<std::size_t> jobs;
-  std::optional<std::string> trace_source;
-  std::optional<std::size_t> threads;
-  std::string json_path;
-  std::string csv_path;
-
-  // Observability flags (additive: figures and the expected-value check
-  // are unaffected).
-  bool stats = false;
-  double probe_interval_s = 0.0;
-  std::string trace_out;
-
-  [[nodiscard]] bool overrides_trace() const {
-    return seed || horizon_s || jobs || trace_source;
-  }
-
-  /// The obs= grammar value the flags describe ("" when none were given).
-  [[nodiscard]] std::string obs_value() const {
-    obs::ObsSpec spec;
-    spec.stats = stats;
-    spec.probe_interval_s = probe_interval_s;
-    spec.trace_path = trace_out;
-    return obs::serialize_obs(spec);
-  }
-
-  static ShimArgs parse(int argc, char** argv, bool exports) {
-    ShimArgs args;
-    auto value = [&](int& i, const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": " << flag << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    auto parse_u64 = [&](int& i, const char* flag) -> std::uint64_t {
-      try {
-        return api::parse_checked_u64(flag, value(i, flag));
-      } catch (const std::invalid_argument& e) {
-        std::cerr << argv[0] << ": " << e.what() << "\n";
-        std::exit(2);
-      }
-    };
-    auto parse_double = [&](int& i, const char* flag) -> double {
-      try {
-        return api::parse_checked_double(flag, value(i, flag));
-      } catch (const std::invalid_argument& e) {
-        std::cerr << argv[0] << ": " << e.what() << "\n";
-        std::exit(2);
-      }
-    };
-    for (int i = 1; i < argc; ++i) {
-      const std::string flag = argv[i];
-      if (flag == "-h" || flag == "--help") {
-        std::cout << "usage: " << argv[0]
-                  << " [--seed N] [--horizon S] [--jobs N] [--trace SPEC]"
-                  << " [--threads N]"
-                  << (exports ? " [--json PATH] [--csv PATH]" : "")
-                  << " [--stats] [--probe-interval S] [--trace-out PATH]"
-                  << "\n";
-        std::exit(0);
-      } else if ((flag == "--json" || flag == "--csv") && !exports) {
-        std::cerr << argv[0] << ": " << flag
-                  << " is not supported (this bench produces no "
-                     "artifacts)\n";
-        std::exit(2);
-      } else if (flag == "--seed") {
-        args.seed = parse_u64(i, "--seed");
-      } else if (flag == "--horizon") {
-        args.horizon_s = parse_double(i, "--horizon");
-      } else if (flag == "--jobs") {
-        args.jobs = static_cast<std::size_t>(parse_u64(i, "--jobs"));
-      } else if (flag == "--trace") {
-        const std::string spec = value(i, "--trace");
-        try {
-          // Validates the scheme/mapping and — via probe() — that a
-          // file-backed source's input actually opens, so a typo'd path
-          // fails here instead of aborting mid-run.
-          ingest::TraceSourceRegistry::instance().make(spec)->probe();
-        } catch (const std::exception& e) {
-          std::cerr << argv[0] << ": --trace: " << e.what() << "\n";
-          std::exit(2);
-        }
-        args.trace_source = spec;
-      } else if (flag == "--threads") {
-        args.threads = static_cast<std::size_t>(parse_u64(i, "--threads"));
-      } else if (flag == "--json") {
-        args.json_path = value(i, "--json");
-      } else if (flag == "--csv") {
-        args.csv_path = value(i, "--csv");
-      } else if (flag == "--stats") {
-        args.stats = true;
-      } else if (flag == "--probe-interval") {
-        args.probe_interval_s = parse_double(i, "--probe-interval");
-        if (!(args.probe_interval_s > 0.0)) {
-          std::cerr << argv[0] << ": --probe-interval must be > 0\n";
-          std::exit(2);
-        }
-      } else if (flag == "--trace-out") {
-        args.trace_out = value(i, "--trace-out");
-      } else {
-        std::cerr << argv[0] << ": unknown flag '" << flag
-                  << "' (try --help)\n";
-        std::exit(2);
-      }
-    }
-    return args;
-  }
-};
 
 void print_comparisons(const EntryResult& result,
                        const std::vector<Comparison>& comparisons) {
@@ -171,19 +52,16 @@ int bench_shim_main(const char* experiment_id, int argc, char** argv) {
     return 2;
   }
   const bool exports = !experiment->specs.empty();
-  const ShimArgs args = ShimArgs::parse(argc, argv, exports);
+  const BenchArgs args = BenchArgs::parse(argc, argv, exports);
 
   ReportOptions options;
   options.only = {experiment->id};
-  options.threads = args.threads.value_or(0);
+  options.threads = args.threads_or(0);
   options.human = &std::cout;
   options.obs = args.obs_value();
   if (args.overrides_trace()) {
     options.trace_override = [&args](api::TraceSpec& spec) {
-      if (args.seed) spec.seed = *args.seed;
-      if (args.horizon_s) spec.horizon_s = *args.horizon_s;
-      if (args.jobs) spec.max_jobs = *args.jobs;
-      if (args.trace_source) spec.source = *args.trace_source;
+      args.apply(spec);
     };
   }
 
@@ -220,25 +98,7 @@ int bench_shim_main(const char* experiment_id, int argc, char** argv) {
     }
   }
 
-  bool export_ok = true;
-  if (!args.json_path.empty()) {
-    if (api::write_artifacts_json_file(args.json_path, result.artifacts)) {
-      std::cout << "# artifacts: " << args.json_path << " (JSON, "
-                << result.artifacts.size() << " runs)\n";
-    } else {
-      std::cerr << "cannot write " << args.json_path << "\n";
-      export_ok = false;
-    }
-  }
-  if (!args.csv_path.empty()) {
-    if (api::write_artifacts_csv_file(args.csv_path, result.artifacts)) {
-      std::cout << "# artifacts: " << args.csv_path << " (CSV summary)\n";
-    } else {
-      std::cerr << "cannot write " << args.csv_path << "\n";
-      export_ok = false;
-    }
-  }
-  return export_ok ? 0 : 1;
+  return args.export_artifacts(result.artifacts) ? 0 : 1;
 }
 
 }  // namespace cloudcr::report

@@ -12,9 +12,9 @@
 ///   }
 ///
 /// The shim keeps the historical CLI contract (--seed/--horizon/--jobs/
-/// --trace/--threads/--json/--csv, parsed by bench/bench_args.hpp-compatible
-/// code here so src/ does not depend on bench/) and the historical stdout
-/// rendering, then appends the expected-value comparison against
+/// --trace/--threads/--json/--csv, parsed by report::BenchArgs, which the
+/// hand-rolled benches share) and the historical stdout rendering, then
+/// appends the expected-value comparison against
 /// bench/REPRO_expected.baseline.json. Overriding the trace (any of --seed/
 /// --horizon/--jobs/--trace) skips the comparison: expectations are pinned
 /// to the default specs.

@@ -1,16 +1,35 @@
-// Exact work counters of three hour replays. The golden fixtures pin what a
-// replay computes; these pin how much work it takes to compute it. A replay
-// that stops compressing checkpoint runs (every checkpoint through the
-// engine) writes the same fixture bytes, yet dispatches 14x the events of
-// the hour replay here. Every counter below is deterministic, so a mismatch
-// is a real change in the work done: refresh a literal only together with
-// the reason for the change.
+// Exact work counters of eight replays: the perf gate on replay work. The
+// golden fixtures pin what a replay computes; these pin how much work it
+// takes to compute it. A replay that stops compressing checkpoint runs
+// (every checkpoint through the engine) writes the same fixture bytes, yet
+// dispatches 14x the events of the hour replay here; one that stops reusing
+// freed task spans writes them too, yet grows its task table to every task
+// it admits. Every counter below is deterministic, so a mismatch is a real
+// change in the work done: refresh a literal only together with the reason
+// for the change. Wall time is not gated here; perfbench/ times these layers.
 //
-// The hour spec is perf_baseline's replay_hour. The backfill spec drives the
-// scheduler's decide() loop on a cluster small enough to hold jobs back. The
-// DM-NFS spec prices each checkpoint by per-server load, so every checkpoint
-// costs a device-completion event and no checkpoint run continues inline.
+// Each case runs the hour spec (seed 7, one hour at 0.116 arrivals/s) plus a
+// few keys, through ScenarioRunner with a fresh ReplayWorkspace, and pins:
+//   - the registry lines of the layers a replay feeds (sim, sched, ingest,
+//     storage): events popped, inline checkpoint runs, placement scans,
+//     decide() calls;
+//   - the artifact's events, checkpoints, failures, trace reads, rows read;
+//   - the workspace's task rows and job slots after the run. The workspace
+//     is cleared at the start of a run, so these are the run's high-water
+//     marks, the allocation proxy `perf_baseline --month-scale` and
+//     perfbench's sim.*_high_water rows report.
+//
+// The cases: the plain hour; the four schedulers that hold jobs back
+// (backfill EASY and conservative, preempt with requeue and with
+// checkpoint) on a 4x2-VM cluster small enough to queue; DM-NFS, which
+// prices each checkpoint by per-server load, so every checkpoint costs a
+// device-completion event; a 6-h Google-format log through the ingest
+// parser; and a day at the hour's seed and rate, streamed from the
+// generator (it stands in for the month, too slow for a Debug suite). The
+// conservative literals pin today's behaviour, in which a running job past
+// its estimate counts as memory free now; fixing that will move them.
 
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -18,7 +37,10 @@
 
 #include "api/runner.hpp"
 #include "api/scenario.hpp"
+#include "ingest/google_source.hpp"
 #include "obs/stats.hpp"
+#include "sim/simulation.hpp"
+#include "trace/generator.hpp"
 
 namespace cloudcr {
 namespace {
@@ -29,13 +51,19 @@ constexpr const char* kHourSpec =
     "trace.arrival_rate=0.116\n"
     "obs=stats\n";
 
-/// Artifact-side counts of one run.
+constexpr const char* kSmallCluster =
+    "cluster.hosts=4\n"
+    "cluster.vms_per_host=2\n";
+
+/// Artifact-side counts of one run, and its workspace high-water marks.
 struct Counts {
   std::size_t events_dispatched;
   std::size_t total_checkpoints;
   std::size_t total_failures;
   std::size_t trace_reads;
   std::size_t rows_read;
+  std::size_t task_rows;
+  std::size_t job_slots;
 };
 
 /// The registry's lines for the layers a replay feeds. Host timers and any
@@ -57,12 +85,17 @@ std::string replay_registry_text() {
 }
 
 /// Runs kHourSpec plus `extra_spec` and compares its replay-layer registry
-/// lines and artifact counts with the pinned values.
+/// lines, artifact counts and workspace high-water marks with the pinned
+/// values.
 void expect_pinned(const std::string& extra_spec, const std::string& registry,
                    const Counts& counts) {
   obs::reset_stats();
+  sim::ReplayWorkspace ws;
+  api::RunHooks hooks;
+  hooks.workspace = &ws;
   const std::string text = std::string(kHourSpec) + extra_spec;
-  const auto artifact = api::run_scenario(api::parse_scenario(text));
+  const auto artifact =
+      api::ScenarioRunner(api::parse_scenario(text)).run(hooks);
   const std::string actual = replay_registry_text();
   obs::reset_stats();
   EXPECT_EQ(actual, registry);
@@ -71,6 +104,26 @@ void expect_pinned(const std::string& extra_spec, const std::string& registry,
   EXPECT_EQ(artifact.result.total_failures, counts.total_failures);
   EXPECT_EQ(artifact.trace_reads, counts.trace_reads);
   EXPECT_EQ(artifact.rows_read, counts.rows_read);
+  EXPECT_EQ(ws.tasks.size(), counts.task_rows);
+  EXPECT_EQ(ws.jobs.size(), counts.job_slots);
+}
+
+/// A Google-format task_events log of a 6-h synthetic trace (seed 20130917,
+/// no sample-job filter, no long services), written once per process under
+/// a name of this suite's own: ctest runs suites in parallel.
+std::string google_fixture() {
+  static const std::string path = [] {
+    trace::GeneratorConfig cfg;
+    cfg.seed = 20130917;
+    cfg.horizon_s = 6.0 * 3600.0;
+    cfg.sample_job_filter = false;
+    cfg.workload.long_service_fraction = 0.0;
+    const std::string file = "obs_work_counters_google_task_events.csv";
+    std::ofstream os(file);
+    ingest::write_task_events(os, trace::TraceGenerator(cfg).generate());
+    return file;
+  }();
+  return path;
 }
 
 TEST(WorkCounters, HourReplay) {
@@ -85,14 +138,10 @@ TEST(WorkCounters, HourReplay) {
       "sim.queue_rebuilds counter 5\n"
       "sim.rows_recycled counter 656\n"
       "storage.opslab_high_water gauge 1\n";
-  expect_pinned("", registry, {5721, 77559, 1495, 2, 1312});
+  expect_pinned("", registry, {5721, 77559, 1495, 2, 1312, 390, 94});
 }
 
 TEST(WorkCounters, HourReplayEasyBackfill) {
-  const std::string spec =
-      "sched=backfill:easy\n"
-      "cluster.hosts=4\n"
-      "cluster.vms_per_host=2\n";
   const std::string registry =
       "ingest.stream_batches counter 1\n"
       "sched.decide_calls counter 296\n"
@@ -104,7 +153,56 @@ TEST(WorkCounters, HourReplayEasyBackfill) {
       "sim.queue_rebuilds counter 5\n"
       "sim.rows_recycled counter 656\n"
       "storage.opslab_high_water gauge 1\n";
-  expect_pinned(spec, registry, {5724, 77559, 1495, 2, 1312});
+  expect_pinned(std::string("sched=backfill:easy\n") + kSmallCluster, registry,
+                {5724, 77559, 1495, 2, 1312, 397, 102});
+}
+
+TEST(WorkCounters, HourReplayConservativeBackfill) {
+  const std::string registry =
+      "ingest.stream_batches counter 1\n"
+      "sched.decide_calls counter 236\n"
+      "sched.wakeups counter 3\n"
+      "sim.ckpt_events_replayed counter 29\n"
+      "sim.ckpt_runs_compressed counter 77530\n"
+      "sim.events_popped counter 5724\n"
+      "sim.placement_scans counter 1846\n"
+      "sim.queue_rebuilds counter 5\n"
+      "sim.rows_recycled counter 656\n"
+      "storage.opslab_high_water gauge 1\n";
+  expect_pinned(std::string("sched=backfill:conservative\n") + kSmallCluster,
+                registry, {5724, 77559, 1495, 2, 1312, 397, 100});
+}
+
+TEST(WorkCounters, HourReplayPreemptRequeue) {
+  const std::string registry =
+      "ingest.stream_batches counter 1\n"
+      "sched.decide_calls counter 229\n"
+      "sched.wakeups counter 0\n"
+      "sim.ckpt_events_replayed counter 29\n"
+      "sim.ckpt_runs_compressed counter 80849\n"
+      "sim.events_popped counter 5864\n"
+      "sim.placement_scans counter 1891\n"
+      "sim.queue_rebuilds counter 5\n"
+      "sim.rows_recycled counter 656\n"
+      "storage.opslab_high_water gauge 1\n";
+  expect_pinned(std::string("sched=preempt\n") + kSmallCluster, registry,
+                {5864, 80878, 1513, 2, 1312, 403, 102});
+}
+
+TEST(WorkCounters, HourReplayPreemptCheckpoint) {
+  const std::string registry =
+      "ingest.stream_batches counter 1\n"
+      "sched.decide_calls counter 229\n"
+      "sched.wakeups counter 0\n"
+      "sim.ckpt_events_replayed counter 29\n"
+      "sim.ckpt_runs_compressed counter 77530\n"
+      "sim.events_popped counter 5791\n"
+      "sim.placement_scans counter 1864\n"
+      "sim.queue_rebuilds counter 5\n"
+      "sim.rows_recycled counter 656\n"
+      "storage.opslab_high_water gauge 1\n";
+  expect_pinned(std::string("sched=preempt:ckpt\n") + kSmallCluster, registry,
+                {5791, 77559, 1496, 2, 1312, 398, 99});
 }
 
 TEST(WorkCounters, HourReplayDmNfs) {
@@ -122,7 +220,40 @@ TEST(WorkCounters, HourReplayDmNfs) {
       "sim.queue_rebuilds counter 6\n"
       "sim.rows_recycled counter 656\n"
       "storage.opslab_high_water gauge 20\n";
-  expect_pinned(spec, registry, {72448, 34249, 1540, 2, 1312});
+  expect_pinned(spec, registry, {72448, 34249, 1540, 2, 1312, 393, 97});
+}
+
+TEST(WorkCounters, GoogleSixHourReplay) {
+  // One parse of the log feeds both estimation and replay: 1 trace read.
+  const std::string registry =
+      "ingest.stream_batches counter 2\n"
+      "sched.decide_calls counter 0\n"
+      "sched.wakeups counter 0\n"
+      "sim.ckpt_events_replayed counter 223\n"
+      "sim.ckpt_runs_compressed counter 214459\n"
+      "sim.events_popped counter 33193\n"
+      "sim.placement_scans counter 9993\n"
+      "sim.queue_rebuilds counter 5\n"
+      "sim.rows_recycled counter 3612\n"
+      "storage.opslab_high_water gauge 2\n";
+  expect_pinned("trace.source=google:" + google_fixture() + "\n", registry,
+                {33193, 214682, 8740, 1, 6799, 537, 94});
+}
+
+TEST(WorkCounters, StreamedDayReplay) {
+  const std::string registry =
+      "ingest.stream_batches counter 6\n"
+      "sched.decide_calls counter 0\n"
+      "sched.wakeups counter 0\n"
+      "sim.ckpt_events_replayed counter 915\n"
+      "sim.ckpt_runs_compressed counter 1836460\n"
+      "sim.events_popped counter 136381\n"
+      "sim.placement_scans counter 43924\n"
+      "sim.queue_rebuilds counter 9\n"
+      "sim.rows_recycled counter 14620\n"
+      "storage.opslab_high_water gauge 2\n";
+  expect_pinned("trace.horizon_s=86400\n", registry,
+                {136381, 1837375, 36497, 2, 29240, 2273, 542});
 }
 
 }  // namespace
