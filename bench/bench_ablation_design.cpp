@@ -10,18 +10,53 @@
 // The whole ablation is one declarative scenario grid executed on the
 // BatchRunner thread pool; runs sharing a trace spec generate it once.
 
+#include <cstdlib>
+#include <exception>
+#include <iostream>
 #include <map>
+#include <utility>
+#include <vector>
 
-#include "bench_common.hpp"
+#include "api/batch.hpp"
+#include "metrics/report.hpp"
+#include "report/bench_args.hpp"
+#include "report/scenarios.hpp"
 
 using namespace cloudcr;
 
-int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv);
+namespace {
 
-  auto day = bench::day_trace_spec();
+/// Runs the grid on a thread pool (respecting --threads). A run failure (an
+/// ingested log going bad mid-run) exits 2 with a diagnostic, like every
+/// other bench CLI error, instead of aborting on an uncaught exception.
+///
+/// The obs flags (--stats/--probe-interval/--trace-out) are applied to
+/// every spec before running and the merged registry is printed afterwards
+/// — instrumentation is additive, so artifacts (and hence every table) are
+/// bit-identical with or without it.
+std::vector<api::RunArtifact> run_grid(std::vector<api::ScenarioSpec> specs,
+                                       const report::BenchArgs& args) {
+  for (auto& spec : specs) args.apply_obs(spec);
+  api::BatchOptions options;
+  options.threads = args.threads_or(0);
+  try {
+    auto artifacts = api::BatchRunner(options).run(specs);
+    args.print_stats(std::cerr);
+    return artifacts;
+  } catch (const std::exception& e) {
+    std::cerr << "run failed: " << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const auto args = report::BenchArgs::parse(argc, argv);
+
+  auto day = report::day_trace_spec();
   args.apply(day);
-  auto changing = bench::day_trace_spec(/*priority_change=*/true);
+  auto changing = report::day_trace_spec(/*priority_change=*/true);
   args.apply(changing);
 
   auto make = [&](const std::string& name, const std::string& policy,
@@ -29,8 +64,8 @@ int main(int argc, char** argv) {
                   storage::DeviceKind shared_kind,
                   core::AdaptationMode mode = core::AdaptationMode::kAdaptive,
                   bool priority_change = false) {
-    auto spec = bench::scenario(name, priority_change ? changing : day,
-                                policy, predictor);
+    auto spec = report::scenario(name, priority_change ? changing : day,
+                                 policy, predictor);
     spec.placement = placement;
     spec.shared_device = shared_kind;
     spec.adaptation = mode;
@@ -43,7 +78,7 @@ int main(int argc, char** argv) {
   const auto kDmNfs = storage::DeviceKind::kDmNfs;
   const auto kNfs = storage::DeviceKind::kSharedNfs;
 
-  const std::vector<api::ScenarioSpec> specs = {
+  std::vector<api::ScenarioSpec> specs = {
       make("auto_dmnfs", "formula3", "grouped", kAuto, kDmNfs),
       make("local", "formula3", "grouped", kLocal, kDmNfs),
       make("shared_dmnfs", "formula3", "grouped", kShared, kDmNfs),
@@ -56,7 +91,7 @@ int main(int argc, char** argv) {
       make("f3_oracle", "formula3", "oracle", kAuto, kDmNfs),
       make("young_oracle", "young", "oracle", kAuto, kDmNfs),
   };
-  const auto artifacts = bench::run_grid(specs, args);
+  const auto artifacts = run_grid(std::move(specs), args);
 
   std::map<std::string, double> wpr;
   std::map<std::string, std::size_t> jobs;

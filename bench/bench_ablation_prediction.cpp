@@ -13,12 +13,16 @@
 // The workload-length predictor is the one experiment knob that is a live
 // lambda rather than data, so these runs go through api::RunHooks.
 
+#include <iostream>
 #include <memory>
+#include <vector>
 
 #include "api/registry.hpp"
+#include "api/runner.hpp"
+#include "metrics/report.hpp"
 #include "predict/workload_predictor.hpp"
-
-#include "bench_common.hpp"
+#include "report/bench_args.hpp"
+#include "report/scenarios.hpp"
 
 using namespace cloudcr;
 
@@ -38,12 +42,12 @@ double run_with_predictor(
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, /*exports=*/false);
+  const auto args = report::BenchArgs::parse(argc, argv, /*exports=*/false);
 
-  auto tspec = bench::day_trace_spec();
+  auto tspec = report::day_trace_spec();
   args.apply(tspec);
-  const auto spec = bench::scenario("ablation_prediction", tspec, "formula3",
-                                    "grouped");
+  const auto spec = report::scenario("ablation_prediction", tspec, "formula3",
+                                     "grouped");
   // One shared replay trace and one shared grouped predictor across the
   // whole sweep (the sweeps vary only the length predictor).
   const auto trace = api::make_replay_trace(tspec);
@@ -71,7 +75,7 @@ int main(int argc, char** argv) {
   metrics::Table t2({"sigma", "avg WPR", "delta vs exact"});
   for (double sigma : {0.0, 0.25, 0.5, 1.0}) {
     const auto p = std::make_shared<predict::NoisyPredictor>(
-        sigma, bench::kTraceSeed + 77);
+        sigma, report::kTraceSeed + 77);
     const double wpr = run_with_predictor(
         spec, trace, stats_pred,
         [p](const trace::TaskRecord& task) { return p->predict(task); });
@@ -83,9 +87,9 @@ int main(int argc, char** argv) {
   metrics::print_banner(std::cout, "real predictors (trained on history)");
   // Train on a different day of history.
   api::TraceSpec hist_spec;
-  hist_spec.seed = bench::kTraceSeed + 999;
-  hist_spec.horizon_s = bench::kDayHorizon;
-  hist_spec.arrival_rate = bench::kArrivalRate;
+  hist_spec.seed = report::kTraceSeed + 999;
+  hist_spec.horizon_s = report::kDayHorizon;
+  hist_spec.arrival_rate = report::kArrivalRate;
   hist_spec.sample_job_filter = false;
   hist_spec.long_service_fraction = 0.0;
   const auto history = api::make_trace(hist_spec);

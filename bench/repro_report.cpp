@@ -1,6 +1,7 @@
 // repro_report: one-command reproduction of the paper's figure/table
 // matrix, with the expected-value gate CI runs against the checked-in
-// bench/REPRO_expected.baseline.json.
+// bench/REPRO_expected.baseline.json. It is the one front end for the
+// reproduction: one figure is `--only <id> --verbose`.
 //
 // Every experiment is a registry entry (src/report/); this binary selects a
 // subset, runs it through the shared BatchRunner, compares metrics against
@@ -19,20 +20,32 @@
 //                                            run (review the diff!)
 //   repro_report --docs OUT.md               regenerate docs/experiments.md
 //                                            (no experiments are run)
-//   repro_report --threads N                 BatchRunner workers
 //   repro_report --verbose                   stream the per-figure tables
 //   repro_report --no-gate                   report deviations, exit 0
 //   repro_report --progress                  live per-artifact stderr line
 //                                            (done/total, jobs/s, ETA)
-//   repro_report --stats                     collect + print the merged obs
-//                                            counter registry
-//   repro_report --probe-interval S          sample time-series probes every
-//                                            S simulated seconds; one CSV
-//                                            per scenario (see --probes-out)
 //   repro_report --probes-out DIR            probe CSV directory (default .)
 //
-// Exit codes: 0 gate passed (or skipped), 1 gate failed, 2 CLI/IO error
-// (an expected document that cannot be read or parsed included).
+// plus the flags every bench shares (report::BenchArgs):
+//   --seed N / --horizon S / --jobs N / --trace SPEC
+//                                            override every trace; the
+//                                            expectations are pinned to the
+//                                            default specs, so the gate is
+//                                            skipped (exit 0)
+//   --threads N                              BatchRunner workers
+//   --artifacts-json PATH / --artifacts-csv PATH
+//                                            export the selected entries'
+//                                            RunArtifacts
+//   --stats                                  collect + print the merged obs
+//                                            counter registry
+//   --probe-interval S                       sample time-series probes every
+//                                            S simulated seconds; one CSV
+//                                            per scenario (see --probes-out)
+//   --trace-out PATH                         Chrome trace per scenario
+//
+// Exit codes: 0 gate passed (or skipped), 1 gate failed or an artifact
+// export could not be written, 2 CLI/IO error (an expected document that
+// cannot be read or parsed included).
 //
 // The obs flags are additive: they never change metrics, so the
 // expected-value gate still applies to instrumented runs.
@@ -54,10 +67,10 @@
 #include <utility>
 #include <vector>
 
+#include "api/runner.hpp"
 #include "api/scenario.hpp"
 #include "obs/probe.hpp"
-#include "obs/spec.hpp"
-#include "obs/stats.hpp"
+#include "report/bench_args.hpp"
 #include "report/compare.hpp"
 #include "report/registry.hpp"
 #include "report/render.hpp"
@@ -178,15 +191,13 @@ int main(int argc, char** argv) {
   bool verbose = false;
   bool gate = true;
   bool progress = false;
-  bool stats = false;
-  double probe_interval_s = 0.0;
   std::string probes_dir = ".";
-  std::size_t threads = 0;
   std::string md_path;
   std::string json_path;
   std::string docs_path;
   std::string update_path;
   std::string expected_path = report::default_expected_path();
+  report::BenchArgs args;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -197,7 +208,9 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--list") {
+    if (args.consume(argc, argv, i)) {
+      continue;
+    } else if (arg == "--list") {
       return list_experiments();
     } else if (arg == "--only") {
       only = split_ids(value());
@@ -207,14 +220,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--fast") {
       fast_only = true;
-    } else if (arg == "--threads") {
-      try {
-        threads = static_cast<std::size_t>(
-            cloudcr::api::parse_checked_u64("--threads", value()));
-      } catch (const std::invalid_argument& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
     } else if (arg == "--md") {
       md_path = value();
     } else if (arg == "--json") {
@@ -231,31 +236,18 @@ int main(int argc, char** argv) {
       gate = false;
     } else if (arg == "--progress") {
       progress = true;
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (arg == "--probe-interval") {
-      try {
-        probe_interval_s =
-            cloudcr::api::parse_checked_double("--probe-interval", value());
-      } catch (const std::invalid_argument& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
-      if (!(probe_interval_s > 0.0)) {
-        std::cerr << "--probe-interval must be > 0\n";
-        return 2;
-      }
     } else if (arg == "--probes-out") {
       probes_dir = value();
     } else if (arg == "-h" || arg == "--help") {
       std::cout
           << "usage: repro_report [--list] [--only IDS] [--fast]\n"
-             "                    [--threads N] [--md OUT] [--json OUT]\n"
+             "                    [--md OUT] [--json OUT]\n"
              "                    [--expected FILE] [--update-expected "
              "FILE]\n"
              "                    [--docs OUT] [--verbose] [--no-gate]\n"
-             "                    [--progress] [--stats]\n"
-             "                    [--probe-interval S] [--probes-out DIR]\n";
+             "                    [--progress] [--probes-out DIR]\n"
+             "                    "
+          << report::BenchArgs::usage(/*exports=*/true) << "\n";
       return 0;
     } else {
       std::cerr << "unknown flag " << arg << " (try --help)\n";
@@ -273,21 +265,43 @@ int main(int argc, char** argv) {
                : 2;
   }
 
+  // Expectations are pinned to the default specs: a run over overridden
+  // traces is reported, never gated, and cannot become the baseline.
+  const bool gated = !args.overrides_trace();
+  if (!gated && !update_path.empty()) {
+    std::cerr << "--update-expected cannot be combined with --seed, "
+                 "--horizon, --jobs or --trace (expectations are pinned to "
+                 "the default specs)\n";
+    return 2;
+  }
+
   report::ReportOptions options;
   options.only = only;
   options.fast_only = fast_only;
-  options.threads = threads;
+  options.threads = args.threads_or(0);
+  if (!gated) {
+    options.trace_override = [&args](api::TraceSpec& spec) {
+      args.apply(spec);
+    };
+  }
   if (verbose) options.human = &std::cout;
   if (progress) options.progress = ProgressLine{};
-  if (stats || probe_interval_s > 0.0) {
-    obs::ObsSpec obs_spec;
-    obs_spec.stats = stats;
-    obs_spec.probe_interval_s = probe_interval_s;
-    options.obs = obs::serialize_obs(obs_spec);
-  }
+  options.obs = args.obs_value();
 
   report::ReportResult result;
   try {
+    if (args.exports_artifacts()) {
+      bool any_specs = false;
+      for (const report::Experiment* e : report::select_experiments(options)) {
+        any_specs = any_specs || !e->specs.empty();
+      }
+      if (!any_specs) {
+        std::cerr << "--artifacts-json/--artifacts-csv: the selected "
+                     "experiments run no scenarios, so there are no "
+                     "artifacts to export\n";
+        return 2;
+      }
+    }
     result = report::run_report(options);
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\n";
@@ -333,7 +347,7 @@ int main(int argc, char** argv) {
   // that cannot be read or parsed is an error, not a skipped gate: gating
   // against nothing would pass. Only an empty path runs ungated.
   report::ExpectedDoc expected;
-  const bool have_expected = !expected_path.empty();
+  const bool have_expected = gated && !expected_path.empty();
   if (have_expected) {
     try {
       expected = report::read_expected_file(expected_path);
@@ -378,13 +392,12 @@ int main(int argc, char** argv) {
   }
   std::printf("total wall: %.1f s\n", result.total_wall_s);
 
-  if (stats) {
-    std::cout << "# obs stats (merged registry):\n";
-    obs::write_stats_text(std::cout);
-  }
+  args.print_stats(std::cout);
 
   bool io_ok = true;
-  if (probe_interval_s > 0.0) io_ok &= write_probe_csvs(probes_dir, entries);
+  if (args.probe_interval_s > 0.0) {
+    io_ok &= write_probe_csvs(probes_dir, entries);
+  }
   if (!md_path.empty()) {
     io_ok &= write_file(md_path,
                         [&entries](std::ostream& os) {
@@ -401,21 +414,40 @@ int main(int argc, char** argv) {
   }
   if (!io_ok) return 2;
 
+  // The entries are not read again: move their artifacts into one list, in
+  // registry order, instead of copying the outcome rows.
+  bool exported = true;
+  if (args.exports_artifacts()) {
+    std::vector<api::RunArtifact> artifacts;
+    for (auto& er : entries) {
+      for (auto& artifact : er.result.artifacts) {
+        artifacts.push_back(std::move(artifact));
+      }
+    }
+    exported = args.export_artifacts(artifacts);
+  }
+  const int ok_exit = exported ? 0 : 1;
+
+  if (!gated) {
+    std::cout << "expected-value gate: skipped (trace overridden; "
+                 "expectations are pinned to the default specs)\n";
+    return ok_exit;
+  }
   if (summary.compared == 0) {
     std::cout << "expected-value gate: skipped (no expectations "
                  "available)\n";
-    return 0;
+    return ok_exit;
   }
   if (summary.all_pass()) {
     std::cout << "expected-value gate: PASS (" << summary.passed << "/"
               << summary.compared << " experiments)\n";
-    return 0;
+    return ok_exit;
   }
   std::cout << "expected-value gate: FAIL (" << summary.deviations
             << " deviations, " << summary.missing << " missing)\n";
   if (!gate) {
     std::cout << "--no-gate: exiting 0 despite failures\n";
-    return 0;
+    return ok_exit;
   }
   return 1;
 }

@@ -326,29 +326,6 @@ ScenarioSpec parse_scenario(const std::string& text) {
   return spec;
 }
 
-bool operator==(const TraceSpec& a, const TraceSpec& b) noexcept {
-  return a.source == b.source && a.seed == b.seed &&
-         a.horizon_s == b.horizon_s &&
-         a.arrival_rate == b.arrival_rate && a.max_jobs == b.max_jobs &&
-         a.sample_job_filter == b.sample_job_filter &&
-         a.priority_change_midway == b.priority_change_midway &&
-         a.long_service_fraction == b.long_service_fraction &&
-         a.replay_max_task_length_s == b.replay_max_task_length_s;
-}
-
-bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) noexcept {
-  return a.name == b.name && a.trace == b.trace && a.policy == b.policy &&
-         a.predictor == b.predictor && a.sched == b.sched &&
-         a.estimation == b.estimation &&
-         a.history == b.history && a.placement == b.placement &&
-         a.adaptation == b.adaptation && a.shared_device == b.shared_device &&
-         a.storage_noise == b.storage_noise && a.sim_seed == b.sim_seed &&
-         a.detection_delay_s == b.detection_delay_s &&
-         a.cluster.hosts == b.cluster.hosts &&
-         a.cluster.vms_per_host == b.cluster.vms_per_host &&
-         a.cluster.vm_memory_mb == b.cluster.vm_memory_mb && a.obs == b.obs;
-}
-
 trace::GeneratorConfig to_generator_config(const TraceSpec& spec) {
   trace::GeneratorConfig cfg;
   cfg.seed = spec.seed;

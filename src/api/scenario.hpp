@@ -56,6 +56,9 @@ struct TraceSpec {
   /// Jobs whose longest task exceeds this are excluded from the *replay*
   /// set (estimation may still see them via EstimationSource::kFull).
   double replay_max_task_length_s = trace::kNoLengthLimit;
+
+  /// Member-wise; a field added above is compared without further edits.
+  bool operator==(const TraceSpec&) const = default;
 };
 
 /// Which trace feeds the failure-statistics estimation.
@@ -110,6 +113,10 @@ struct ScenarioSpec {
   /// obs::ObsSpec for the `obs=` value grammar. Default-constructed means
   /// fully disabled; never affects simulation results either way.
   obs::ObsSpec obs;
+
+  /// Member-wise (what parse(serialize(s)) == s checks); a field added
+  /// above is compared without further edits.
+  bool operator==(const ScenarioSpec&) const = default;
 };
 
 // -- enum token helpers (used by the serializer and CLI frontends) ----------
@@ -213,16 +220,6 @@ std::string serialize(const ScenarioSpec& spec);
 /// Inverse of serialize(). Unlisted keys keep their defaults; unknown keys
 /// or malformed values throw std::invalid_argument.
 ScenarioSpec parse_scenario(const std::string& text);
-
-/// Field-wise equality (doubles compared bit-exactly).
-bool operator==(const TraceSpec& a, const TraceSpec& b) noexcept;
-bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) noexcept;
-inline bool operator!=(const TraceSpec& a, const TraceSpec& b) noexcept {
-  return !(a == b);
-}
-inline bool operator!=(const ScenarioSpec& a, const ScenarioSpec& b) noexcept {
-  return !(a == b);
-}
 
 // -- lowering to the simulation layer ---------------------------------------
 

@@ -113,8 +113,4 @@ SourcePtr TraceSourceRegistry::make(const std::string& spec,
   return factory(arg, env);
 }
 
-void TraceSourceRegistry::validate(const std::string& spec) const {
-  (void)make(spec);  // construction validates scheme, path, and query
-}
-
 }  // namespace cloudcr::ingest

@@ -69,11 +69,6 @@ class TraceSourceRegistry {
   [[nodiscard]] SourcePtr make(const std::string& spec,
                                const SourceEnv& env = {}) const;
 
-  /// Strict validation of a source spec without loading anything (the
-  /// --trace flag's check): unknown scheme, missing path, or a malformed
-  /// mapping/options query throw std::invalid_argument.
-  void validate(const std::string& spec) const;
-
   /// Fresh registry with the built-ins only (for tests).
   static TraceSourceRegistry with_builtins();
 

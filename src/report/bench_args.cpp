@@ -20,10 +20,10 @@ std::string BenchArgs::obs_value() const {
   return obs::serialize_obs(spec);
 }
 
-void BenchArgs::print_stats() const {
+void BenchArgs::print_stats(std::ostream& os) const {
   if (!stats) return;
-  std::cerr << "# obs stats (merged registry):\n";
-  obs::write_stats_text(std::cerr);
+  os << "# obs stats (merged registry):\n";
+  obs::write_stats_text(os);
 }
 
 bool BenchArgs::export_artifacts(
@@ -49,82 +49,97 @@ bool BenchArgs::export_artifacts(
   return ok;
 }
 
-BenchArgs BenchArgs::parse(int argc, char** argv, bool exports) {
-  BenchArgs args;
-  auto value = [&](int& i, const char* flag) -> std::string {
+bool BenchArgs::consume(int argc, char** argv, int& i) {
+  const std::string flag = argv[i];
+  auto value = [&]() -> std::string {
     if (i + 1 >= argc) {
       std::cerr << argv[0] << ": " << flag << " needs a value\n";
       std::exit(2);
     }
     return argv[++i];
   };
-  auto parse_u64 = [&](int& i, const char* flag) -> std::uint64_t {
+  auto parse_u64 = [&]() -> std::uint64_t {
     try {
-      return api::parse_checked_u64(flag, value(i, flag));
+      return api::parse_checked_u64(flag, value());
     } catch (const std::invalid_argument& e) {
       std::cerr << argv[0] << ": " << e.what() << "\n";
       std::exit(2);
     }
   };
-  auto parse_double = [&](int& i, const char* flag) -> double {
+  auto parse_double = [&]() -> double {
     try {
-      return api::parse_checked_double(flag, value(i, flag));
+      return api::parse_checked_double(flag, value());
     } catch (const std::invalid_argument& e) {
       std::cerr << argv[0] << ": " << e.what() << "\n";
       std::exit(2);
     }
   };
+  if (flag == "--seed") {
+    seed = parse_u64();
+  } else if (flag == "--horizon") {
+    horizon_s = parse_double();
+  } else if (flag == "--jobs") {
+    jobs = static_cast<std::size_t>(parse_u64());
+  } else if (flag == "--trace") {
+    const std::string spec = value();
+    try {
+      // Validates the scheme/mapping and — via probe() — that a
+      // file-backed source's input actually opens, so a typo'd path
+      // fails here instead of aborting mid-run.
+      ingest::TraceSourceRegistry::instance().make(spec)->probe();
+    } catch (const std::exception& e) {
+      std::cerr << argv[0] << ": --trace: " << e.what() << "\n";
+      std::exit(2);
+    }
+    trace_source = spec;
+  } else if (flag == "--threads") {
+    threads = static_cast<std::size_t>(parse_u64());
+  } else if (flag == "--artifacts-json") {
+    json_path = value();
+  } else if (flag == "--artifacts-csv") {
+    csv_path = value();
+  } else if (flag == "--stats") {
+    stats = true;
+  } else if (flag == "--probe-interval") {
+    probe_interval_s = parse_double();
+    if (!(probe_interval_s > 0.0)) {
+      std::cerr << argv[0] << ": --probe-interval must be > 0\n";
+      std::exit(2);
+    }
+  } else if (flag == "--trace-out") {
+    trace_out = value();
+  } else {
+    return false;
+  }
+  return true;
+}
+
+std::string BenchArgs::usage(bool exports) {
+  std::string out = "[--seed N] [--horizon S] [--jobs N] [--trace SPEC]";
+  out += " [--threads N]";
+  if (exports) out += " [--artifacts-json PATH] [--artifacts-csv PATH]";
+  out += " [--stats] [--probe-interval S] [--trace-out PATH]";
+  return out;
+}
+
+BenchArgs BenchArgs::parse(int argc, char** argv, bool exports) {
+  BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "-h" || flag == "--help") {
-      std::cout << "usage: " << argv[0]
-                << " [--seed N] [--horizon S] [--jobs N] [--trace SPEC]"
-                << " [--threads N]"
-                << (exports ? " [--json PATH] [--csv PATH]" : "")
-                << " [--stats] [--probe-interval S] [--trace-out PATH]\n";
+      std::cout << "usage: " << argv[0] << " " << usage(exports) << "\n";
       std::exit(0);
-    } else if ((flag == "--json" || flag == "--csv") && !exports) {
-      std::cerr << argv[0] << ": " << flag
-                << " is not supported (this bench produces no artifacts)\n";
-      std::exit(2);
-    } else if (flag == "--seed") {
-      args.seed = parse_u64(i, "--seed");
-    } else if (flag == "--horizon") {
-      args.horizon_s = parse_double(i, "--horizon");
-    } else if (flag == "--jobs") {
-      args.jobs = static_cast<std::size_t>(parse_u64(i, "--jobs"));
-    } else if (flag == "--trace") {
-      const std::string spec = value(i, "--trace");
-      try {
-        // Validates the scheme/mapping and — via probe() — that a
-        // file-backed source's input actually opens, so a typo'd path
-        // fails here instead of aborting mid-run.
-        ingest::TraceSourceRegistry::instance().make(spec)->probe();
-      } catch (const std::exception& e) {
-        std::cerr << argv[0] << ": --trace: " << e.what() << "\n";
-        std::exit(2);
-      }
-      args.trace_source = spec;
-    } else if (flag == "--threads") {
-      args.threads = static_cast<std::size_t>(parse_u64(i, "--threads"));
-    } else if (flag == "--json") {
-      args.json_path = value(i, "--json");
-    } else if (flag == "--csv") {
-      args.csv_path = value(i, "--csv");
-    } else if (flag == "--stats") {
-      args.stats = true;
-    } else if (flag == "--probe-interval") {
-      args.probe_interval_s = parse_double(i, "--probe-interval");
-      if (!(args.probe_interval_s > 0.0)) {
-        std::cerr << argv[0] << ": --probe-interval must be > 0\n";
-        std::exit(2);
-      }
-    } else if (flag == "--trace-out") {
-      args.trace_out = value(i, "--trace-out");
-    } else {
+    }
+    if (!args.consume(argc, argv, i)) {
       std::cerr << argv[0] << ": unknown flag '" << flag << "' (try --help)\n";
       std::exit(2);
     }
+  }
+  if (!exports && args.exports_artifacts()) {
+    std::cerr << argv[0]
+              << ": --artifacts-json/--artifacts-csv are not supported (this "
+                 "bench produces no artifacts)\n";
+    std::exit(2);
   }
   return args;
 }

@@ -1,12 +1,15 @@
 #include "report/compare.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "metrics/export.hpp"
@@ -44,6 +47,76 @@ std::string parse_string_at(const std::string& text, std::size_t pos,
                              what);
   }
   return text.substr(pos + 1, end - pos - 1);
+}
+
+/// Reads the number write_expected() wrote at `pos`: a whole JSON number,
+/// or — for a value, `special` — one of the quoted non-finite spellings
+/// metrics::json_double() writes ("nan", "inf", "-inf"). The token must
+/// end at a JSON delimiter, so "1.5x" is refused rather than read as 1.5.
+/// Throws naming `where` (entry, metric and field) otherwise.
+double parse_number_at(const std::string& text, std::size_t pos, bool special,
+                       const std::string& where) {
+  const std::size_t n = text.size();
+  auto digit = [&](std::size_t k) {
+    return k < n && text[k] >= '0' && text[k] <= '9';
+  };
+  auto refuse = [&]() -> double {
+    const std::size_t end = text.find_first_of(",}]\n", pos);
+    const std::string token =
+        text.substr(pos, end == std::string::npos ? end : end - pos);
+    const char* want = special ? "a JSON number or \"nan\", \"inf\", \"-inf\""
+                               : "a finite JSON number >= 0";
+    throw std::runtime_error("expected-value document: " + where + " '" +
+                             token + "' is not " + want);
+  };
+
+  double value = 0.0;
+  std::size_t end = pos;
+  if (end < n && text[end] == '"') {
+    const std::size_t close = text.find('"', pos + 1);
+    if (!special || close == std::string::npos) return refuse();
+    const std::string word = text.substr(pos + 1, close - pos - 1);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    if (word == "nan") {
+      value = std::numeric_limits<double>::quiet_NaN();
+    } else if (word == "inf") {
+      value = kInf;
+    } else if (word == "-inf") {
+      value = -kInf;
+    } else {
+      return refuse();
+    }
+    end = close + 1;
+  } else {
+    // -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+    if (end < n && text[end] == '-') ++end;
+    if (!digit(end)) return refuse();
+    if (text[end] == '0') {
+      ++end;
+    } else {
+      while (digit(end)) ++end;
+    }
+    if (end < n && text[end] == '.') {
+      ++end;
+      if (!digit(end)) return refuse();
+      while (digit(end)) ++end;
+    }
+    if (end < n && (text[end] == 'e' || text[end] == 'E')) {
+      ++end;
+      if (end < n && (text[end] == '+' || text[end] == '-')) ++end;
+      if (!digit(end)) return refuse();
+      while (digit(end)) ++end;
+    }
+    const auto [ptr, ec] =
+        std::from_chars(text.data() + pos, text.data() + end, value);
+    if (ec != std::errc{} || ptr != text.data() + end) return refuse();
+  }
+  constexpr std::string_view kDelimiters = ",}] \t\r\n";
+  if (end < n && kDelimiters.find(text[end]) == std::string_view::npos) {
+    return refuse();
+  }
+  if (!special && !(value >= 0.0)) return refuse();
+  return value;
 }
 
 }  // namespace
@@ -85,8 +158,12 @@ ExpectedDoc parse_expected(const std::string& json_text) {
             "expected-value document: metric without value/tolerance: " +
             exp.metric);
       }
-      exp.value = std::strtod(json_text.c_str() + value_pos, nullptr);
-      exp.tolerance = std::strtod(json_text.c_str() + tol_pos, nullptr);
+      const std::string where =
+          "entry '" + entry.id + "' metric '" + exp.metric + "'";
+      exp.value = parse_number_at(json_text, value_pos, /*special=*/true,
+                                  where + " value");
+      exp.tolerance = parse_number_at(json_text, tol_pos, /*special=*/false,
+                                      where + " tolerance");
       entry.metrics.push_back(std::move(exp));
       name_pos = next_name;
     }

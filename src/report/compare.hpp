@@ -76,8 +76,8 @@ ExpectedDoc merge_expected(const ExpectedDoc& base, const ExpectedDoc& fresh);
 
 /// The checked-in expected-value document: $CLOUDCR_REPRO_EXPECTED when
 /// set, else the source-tree path baked in at build time (like the
-/// golden-replay fixtures), else "". Shared by repro_report and the bench
-/// shims so both resolve the same baseline.
+/// golden-replay fixtures), else "". Shared by repro_report and perfbench
+/// so both resolve the same baseline.
 std::string default_expected_path();
 
 // -- comparison --------------------------------------------------------------

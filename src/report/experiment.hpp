@@ -9,10 +9,10 @@
 /// what the paper shows (`title`, `paper_claim`), how this repo models it
 /// (`model_notes`), the ScenarioSpec grid and/or raw traces it needs, and a
 /// pure evaluation function that turns the run's outputs into named scalar
-/// metrics. Everything downstream — the `repro_report` harness, the
-/// per-figure bench shims, REPRODUCTION.md/.json, and the generated
-/// docs/experiments.md — is derived from these entries, so each experiment
-/// definition lives in exactly one place (src/report/experiments_*.cpp).
+/// metrics. Everything downstream — the `repro_report` harness,
+/// REPRODUCTION.md/.json, and the generated docs/experiments.md — is
+/// derived from these entries, so each experiment definition lives in
+/// exactly one place (src/report/experiments_*.cpp).
 ///
 /// Metrics are plain doubles on purpose: they are what the expected-value
 /// gate (compare.hpp) checks against bench/REPRO_expected.baseline.json,
@@ -80,9 +80,9 @@ struct EntryContext {
   /// reference_wrapper binds directly to `const trace::Trace&`).
   const std::vector<std::reference_wrapper<const trace::Trace>>& traces;
 
-  /// Human-readable rendering sink (full tables and CDF series, exactly
-  /// what the historical bench binaries printed). The repro_report harness
-  /// discards this unless asked; the bench shims stream it to stdout.
+  /// Human-readable rendering sink (full tables and CDF series). The
+  /// report runner discards this unless asked; `repro_report --verbose`
+  /// streams it to stdout.
   std::ostream& human;
 };
 

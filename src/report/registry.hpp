@@ -12,8 +12,8 @@
 ///   experiments_sim.cpp       Figures 9-14, Table 6 (full replays)
 ///   experiments_sched.cpp     sched01/sched02 (admission-stage extensions)
 ///
-/// The registry is immutable after construction: repro_report, the bench
-/// shims, the generated docs, and the drift gate all see the same entries.
+/// The registry is immutable after construction: repro_report, perfbench,
+/// the generated docs, and the drift gate all see the same entries.
 
 #include <string>
 #include <vector>

@@ -185,10 +185,10 @@ void write_experiments_doc(std::ostream& os) {
         "The CI docs job\nregenerates this file and fails on drift. -->\n\n";
   os << "Source paper: " << kPaperCitation << "\n\n";
   os << "Every figure/table reproduction is a named entry in the experiment "
-        "registry\n(`src/report/`), runnable three ways: the whole matrix "
-        "via `repro_report`, one\nentry via its historical bench binary "
-        "(`bench_fig09_wpr_cdf`, ...), or any\nsubset via `repro_report "
-        "--only <ids>`. Expected values are checked in at\n"
+        "registry\n(`src/report/`), and `repro_report` runs them: the whole "
+        "matrix by default, any\nsubset via `--only <ids>`, and one "
+        "entry's full tables and series via\n`--only <id> --verbose`. "
+        "Expected values are checked in at\n"
         "`bench/REPRO_expected.baseline.json`; `fast` entries form a quick "
         "subset\n(`repro_report --fast`). CI runs the whole matrix.\n\n";
   os << "| id | paper ref | scenarios | fast | title |\n";

@@ -33,7 +33,7 @@ struct ReportOptions {
   std::size_t threads = 0;
 
   /// Applied to every TraceSpec (scenario, history, and raw-trace requests)
-  /// before running — the bench shims' --seed/--horizon/--jobs/--trace
+  /// before running — repro_report's --seed/--horizon/--jobs/--trace
   /// overrides. When set, expected-value comparison is meaningless and the
   /// callers skip it.
   std::function<void(api::TraceSpec&)> trace_override;
@@ -60,7 +60,7 @@ struct EntryResult {
   std::vector<MetricValue> metrics;
 
   /// This entry's RunArtifacts, in spec order (empty for model-only
-  /// entries) — kept so the bench shims can honour --json/--csv exports.
+  /// entries) — kept for repro_report's --artifacts-json/--artifacts-csv.
   std::vector<api::RunArtifact> artifacts;
 
   double wall_s = 0.0;  ///< replay + trace materialization + evaluation

@@ -68,6 +68,8 @@ struct ClusterConfig {
   std::size_t hosts = 32;
   std::size_t vms_per_host = 7;
   double vm_memory_mb = 1024.0;
+
+  bool operator==(const ClusterConfig&) const = default;
 };
 
 /// The pool of VMs with the paper's greedy max-available-memory placement.

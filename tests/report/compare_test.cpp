@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "report/compare.hpp"
 
@@ -141,6 +143,81 @@ TEST(ExpectedDoc, MetricMissingItsValueThrowsInsteadOfBorrowing) {
   ASSERT_NE(pos, std::string::npos);
   text.erase(pos, std::string(",\"value\":0.89943741909499431").size());
   EXPECT_THROW(report::parse_expected(text), std::runtime_error);
+}
+
+TEST(ExpectedDoc, NonFiniteValuesRoundTrip) {
+  // The writer spells non-finite values as quoted "nan"/"inf"/"-inf"; each
+  // must read back as itself, not as 0.
+  report::EntryExpectations entry;
+  entry.id = "figXX";
+  entry.metrics.push_back({"nan_metric", std::nan(""), 0.0});
+  entry.metrics.push_back({"inf_metric", HUGE_VAL, 0.5});
+  entry.metrics.push_back({"neg_inf_metric", -HUGE_VAL, 1e-300});
+  entry.metrics.push_back({"tiny", -1.5e-300, 2.0});
+  report::ExpectedDoc doc;
+  doc.entries.push_back(entry);
+  std::ostringstream os;
+  report::write_expected(os, doc);
+  const auto parsed = report::parse_expected(os.str());
+  ASSERT_EQ(parsed.entries.size(), 1u);
+  const auto& m = parsed.entries[0].metrics;
+  ASSERT_EQ(m.size(), 4u);
+  EXPECT_TRUE(std::isnan(m[0].value));
+  EXPECT_EQ(m[1].value, HUGE_VAL);
+  EXPECT_EQ(m[1].tolerance, 0.5);
+  EXPECT_EQ(m[2].value, -HUGE_VAL);
+  EXPECT_EQ(m[2].tolerance, 1e-300);
+  EXPECT_EQ(m[3].value, -1.5e-300);
+}
+
+/// parse_expected's error for the sample document with fig09 avg_wpr's
+/// `field` rewritten to `text` ("" when it parses).
+std::string parse_error(const std::string& field, const std::string& text) {
+  std::ostringstream os;
+  report::write_expected(os, sample_doc());
+  std::string doc = os.str();
+  std::string old = "\"tolerance\":0.02";
+  if (field == "value") old = "\"value\":0.89943741909499431";
+  const auto pos = doc.find(old);
+  EXPECT_NE(pos, std::string::npos);
+  doc.replace(pos, old.size(), "\"" + field + "\":" + text);
+  try {
+    (void)report::parse_expected(doc);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+void expect_refused(const std::string& field, const std::string& text) {
+  SCOPED_TRACE(field + " = " + text);
+  const std::string what = parse_error(field, text);
+  EXPECT_NE(what.find("entry 'fig09' metric 'avg_wpr' " + field),
+            std::string::npos)
+      << what;
+}
+
+TEST(ExpectedDoc, MalformedNumbersThrowNamingEntryAndMetric) {
+  // strtod would read each of these as some number (inf, 0, 1.5) and let
+  // the gate compare against it; the parser accepts only what the writer
+  // writes.
+  expect_refused("tolerance", "inf");
+  expect_refused("tolerance", "abc");
+  expect_refused("tolerance", "1.5x");
+  expect_refused("tolerance", "-0.5");
+  expect_refused("tolerance", "\"inf\"");
+  expect_refused("value", "inf");
+  expect_refused("value", "abc");
+  expect_refused("value", "1.5x");
+  expect_refused("value", "\"infinity\"");
+  expect_refused("value", ".5");
+  expect_refused("value", "01");
+  expect_refused("value", "1e999");
+  // Valid spellings of the same fields still parse.
+  EXPECT_EQ(parse_error("tolerance", "0"), "");
+  EXPECT_EQ(parse_error("tolerance", "2.5e-3"), "");
+  EXPECT_EQ(parse_error("value", "-1E+2"), "");
+  EXPECT_EQ(parse_error("value", "\"-inf\""), "");
 }
 
 TEST(ExpectedDoc, MergeReplacesFreshAndKeepsBaseEntries) {
