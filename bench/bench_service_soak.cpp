@@ -171,6 +171,7 @@ int run_soak(const SoakConfig& config) {
             << " snapshot resumes, " << stats.snapshot_bytes
             << " parked snapshot bytes\n";
 
+  bool json_ok = true;
   if (!config.json_path.empty()) {
     std::ofstream os(config.json_path);
     os << "{\"schema\":\"cloudcr-service-soak-v1\",\"clients\":"
@@ -186,6 +187,11 @@ int run_soak(const SoakConfig& config) {
        << ",\"snapshot_resumes\":" << stats.snapshot_resumes
        << ",\"snapshot_bytes\":" << stats.snapshot_bytes
        << ",\"trace_reads\":" << stats.trace_reads << "}\n";
+    os.flush();  // a full device fails only once the buffer drains
+    if (!os) {
+      std::cerr << "cannot write " << config.json_path << "\n";
+      json_ok = false;
+    }
   }
 
   int failed = 0;
@@ -206,7 +212,7 @@ int run_soak(const SoakConfig& config) {
               << " — cache hits must never touch a trace source)\n";
     failed = 1;
   }
-  return failed;
+  return json_ok ? failed : 2;
 }
 
 /// A count flag: an unsigned integer above 0.

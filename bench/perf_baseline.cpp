@@ -178,11 +178,14 @@ int run_month_scale(const std::string& mode, const std::string& predictor,
       return 2;
     }
     std::ofstream os(probe_csv_path);
+    if (os) {
+      obs::write_probe_csv(os, artifact.result.probes);
+      os.flush();  // a full device fails only once the buffer drains
+    }
     if (!os) {
       std::cerr << "cannot write " << probe_csv_path << "\n";
       return 2;
     }
-    obs::write_probe_csv(os, artifact.result.probes);
     std::cout << "# wrote " << probe_csv_path << " ("
               << artifact.result.probes.size() << " probe samples)\n";
   }
@@ -213,6 +216,11 @@ int run_month_scale(const std::string& mode, const std::string& predictor,
        << ",\"trace_reads\":" << artifact.trace_reads
        << ",\"rows_read\":" << artifact.rows_read
        << ",\"max_rss_mb\":" << metrics::json_double(max_rss_mb) << "}\n";
+    os.flush();
+    if (!os) {
+      std::cerr << "cannot write " << json_path << "\n";
+      return 2;
+    }
     std::cout << "# wrote " << json_path << "\n";
   }
 

@@ -106,11 +106,14 @@ bool write_file(const std::string& path,
                 const std::function<void(std::ostream&)>& body,
                 const char* what) {
   std::ofstream os(path);
+  if (os) {
+    body(os);
+    os.flush();  // a full device fails only once the buffer drains
+  }
   if (!os) {
     std::cerr << "cannot write " << path << "\n";
     return false;
   }
-  body(os);
   std::cout << "# wrote " << path << " (" << what << ")\n";
   return true;
 }
@@ -140,12 +143,15 @@ bool write_probe_csvs(const std::string& dir,
                                "__" + sanitize_component(artifact.spec.name) +
                                ".probes.csv";
       std::ofstream os(path);
+      if (os) {
+        cloudcr::obs::write_probe_csv(os, artifact.result.probes);
+        os.flush();
+      }
       if (!os) {
         std::cerr << "cannot write " << path << "\n";
         ok = false;
         continue;
       }
-      cloudcr::obs::write_probe_csv(os, artifact.result.probes);
       ++written;
     }
   }

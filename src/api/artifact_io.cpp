@@ -139,6 +139,7 @@ bool write_artifacts_json_file(const std::string& path,
   std::ofstream os(path);
   if (!os) return false;
   write_artifacts_json(os, artifacts, include_outcomes);
+  os.flush();  // a full device fails only once the buffer drains
   return static_cast<bool>(os);
 }
 
@@ -147,6 +148,7 @@ bool write_artifacts_csv_file(const std::string& path,
   std::ofstream os(path);
   if (!os) return false;
   write_artifacts_csv(os, artifacts);
+  os.flush();  // a full device fails only once the buffer drains
   return static_cast<bool>(os);
 }
 
@@ -155,6 +157,7 @@ bool write_artifact_outcomes_csv_file(
   std::ofstream os(path);
   if (!os) return false;
   write_artifact_outcomes_csv(os, artifacts);
+  os.flush();  // a full device fails only once the buffer drains
   return static_cast<bool>(os);
 }
 

@@ -38,7 +38,7 @@ void write_artifact_outcomes_csv(std::ostream& os,
                                  const std::vector<RunArtifact>& artifacts);
 
 /// File helpers; return false (after printing nothing) when the file cannot
-/// be opened.
+/// be opened or a write to it fails.
 bool write_artifacts_json_file(const std::string& path,
                                const std::vector<RunArtifact>& artifacts,
                                bool include_outcomes = true);

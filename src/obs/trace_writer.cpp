@@ -194,13 +194,16 @@ void TraceWriter::write_json(std::ostream& os) const {
 
 bool TraceWriter::write_json_file(const std::string& path) const {
   std::ofstream os(path);
+  if (os) {
+    write_json(os);
+    os << '\n';
+    os.flush();  // a full device fails only once the buffer drains
+  }
   if (!os) {
-    std::cerr << "obs: cannot open trace output '" << path << "'\n";
+    std::cerr << "obs: cannot write trace output '" << path << "'\n";
     return false;
   }
-  write_json(os);
-  os << '\n';
-  return os.good();
+  return true;
 }
 
 }  // namespace cloudcr::obs

@@ -3,9 +3,9 @@
 // noise) — no trace, no simulation — so they are all `fast` entries.
 
 #include <algorithm>
-#include <functional>
-#include <memory>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "metrics/report.hpp"
 #include "report/registry.hpp"
@@ -20,13 +20,14 @@ namespace cloudcr::report {
 namespace {
 
 /// Concurrent-checkpoint cost rows (Tables 2/3): launches `degree`
-/// simultaneous 160 MB checkpoints and records the cost of the last writer
-/// (the one that sees the full contention), matching the paper's
-/// simultaneous-checkpoint measurement. Returns per-degree avg; prints the
-/// min/avg/max table.
-std::vector<double> concurrent_cost_table(
-    std::ostream& os, const std::string& label,
-    const std::function<std::unique_ptr<storage::StorageBackend>()>& make) {
+/// simultaneous 160 MB checkpoints on a fresh `kind` device per repetition
+/// and records the cost of the last writer (the one that sees the full
+/// contention), matching the paper's simultaneous-checkpoint measurement.
+/// Returns per-degree avg; prints the min/avg/max table.
+std::vector<double> concurrent_cost_table(std::ostream& os,
+                                          const std::string& label,
+                                          storage::DeviceKind kind,
+                                          stats::Rng& rng) {
   metrics::print_banner(os, label);
   metrics::Table table({"stat", "X=1", "X=2", "X=3", "X=4", "X=5"});
   std::vector<std::string> row_min{"min"}, row_avg{"avg"}, row_max{"max"};
@@ -34,13 +35,13 @@ std::vector<double> concurrent_cost_table(
   for (int degree = 1; degree <= 5; ++degree) {
     stats::Summary cost;
     for (int rep = 0; rep < 25; ++rep) {
-      auto backend = make();
+      storage::StorageBackend backend(kind, rng, storage::kDefaultNoise);
       std::vector<storage::CheckpointTicket> tickets;
       for (int i = 0; i < degree; ++i) {
-        tickets.push_back(backend->begin_checkpoint(160.0, 0));
+        tickets.push_back(backend.begin_checkpoint(160.0, 0));
       }
       cost.add(tickets.back().cost);
-      for (const auto& t : tickets) backend->end_checkpoint(t.op_id);
+      for (const auto& t : tickets) backend.end_checkpoint(t.op_id);
     }
     avgs.push_back(cost.mean());
     row_min.push_back(metrics::fmt(cost.min(), 3));
@@ -73,18 +74,12 @@ Experiment tab02_entry() {
     const auto local = concurrent_cost_table(
         ctx.human,
         "Table 2 (top): local ramdisk, simultaneous checkpoint cost (s)",
-        [&rng] {
-          return std::make_unique<storage::LocalRamdiskBackend>(
-              &rng, storage::kDefaultNoise);
-        });
+        storage::DeviceKind::kLocalRamdisk, rng);
     const auto nfs = concurrent_cost_table(
         ctx.human,
         "Table 2 (bottom): single NFS server, simultaneous checkpoint "
         "cost (s)",
-        [&rng] {
-          return std::make_unique<storage::SharedNfsBackend>(
-              &rng, storage::kDefaultNoise);
-        });
+        storage::DeviceKind::kSharedNfs, rng);
     ctx.human << "paper avg rows: local {0.632, 0.81, 0.74, 0.59, 0.58}; "
                  "NFS {1.67, 2.665, 5.38, 6.25, 8.95}\n";
     return std::vector<MetricValue>{
@@ -116,10 +111,7 @@ Experiment tab03_entry() {
     const auto avgs = concurrent_cost_table(
         ctx.human,
         "Table 3: DM-NFS simultaneous checkpoint cost (s), 32 servers",
-        [&rng] {
-          return std::make_unique<storage::DmNfsBackend>(
-              32, rng, storage::kDefaultNoise);
-        });
+        storage::DeviceKind::kDmNfs, rng);
     double worst = 0.0;
     for (const double a : avgs) worst = std::max(worst, a);
     ctx.human << "paper avg row: {1.67, 1.49, 1.63, 1.75, 1.74} — flat, "
@@ -277,10 +269,12 @@ Experiment fig07_entry() {
       }
       table.print(ctx.human);
     };
-    storage::LocalRamdiskBackend local(&rng, storage::kDefaultNoise);
+    storage::StorageBackend local(storage::DeviceKind::kLocalRamdisk, rng,
+                                  storage::kDefaultNoise);
     sweep("Figure 7(a): total checkpointing cost over local ramdisk (s)",
           local);
-    storage::SharedNfsBackend nfs(&rng, storage::kDefaultNoise);
+    storage::StorageBackend nfs(storage::DeviceKind::kSharedNfs, rng,
+                                storage::kDefaultNoise);
     sweep("Figure 7(b): total checkpointing cost over NFS (s)", nfs);
     const double local240 =
         storage::checkpoint_cost(storage::DeviceKind::kLocalRamdisk, 240.0);

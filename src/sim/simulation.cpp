@@ -23,6 +23,8 @@ Simulation::Simulation(SimConfig config, const core::CheckpointPolicy& policy,
       predictor_(std::move(predictor)),
       cluster_(config.cluster),
       rng_(config.seed),
+      local_backend_(storage::DeviceKind::kLocalRamdisk, rng_),
+      shared_backend_(storage::DeviceKind::kSharedNfs, rng_),
       ws_(workspace != nullptr ? *workspace : owned_ws_),
       engine_(ws_.engine),
       tasks_(ws_.tasks) {
@@ -32,8 +34,8 @@ Simulation::Simulation(SimConfig config, const core::CheckpointPolicy& policy,
 }
 
 storage::StorageBackend* Simulation::backend_for(storage::DeviceKind kind) {
-  return kind == storage::DeviceKind::kLocalRamdisk ? local_backend_.get()
-                                                    : shared_backend_.get();
+  return kind == storage::DeviceKind::kLocalRamdisk ? &local_backend_
+                                                    : &shared_backend_;
 }
 
 void Simulation::begin_run() {
@@ -53,11 +55,11 @@ void Simulation::begin_run() {
   pending_min_mb_ = kInf;
   cluster_.reset();
   rng_ = stats::Rng(config_.seed);
-  local_backend_ = storage::make_backend(storage::DeviceKind::kLocalRamdisk,
-                                         rng_, config_.storage_noise);
-  shared_backend_ = storage::make_backend(config_.shared_kind, rng_,
-                                          config_.storage_noise,
-                                          config_.cluster.hosts);
+  local_backend_ = storage::StorageBackend(storage::DeviceKind::kLocalRamdisk,
+                                           rng_, config_.storage_noise);
+  shared_backend_ = storage::StorageBackend(config_.shared_kind, rng_,
+                                            config_.storage_noise,
+                                            config_.cluster.hosts);
   result_ = SimResult{};
   policy_override_ = nullptr;
 
@@ -171,8 +173,8 @@ void Simulation::flush_stats() {
   st::sched_decide_calls.add(tally_.sched_decides);
   st::sched_wakeups.add(tally_.sched_wakeups);
   st::ingest_stream_batches.add(tally_.stream_batches);
-  st::storage_opslab_high_water.add(local_backend_->ops_high_water());
-  st::storage_opslab_high_water.add(shared_backend_->ops_high_water());
+  st::storage_opslab_high_water.add(local_backend_.ops_high_water());
+  st::storage_opslab_high_water.add(shared_backend_.ops_high_water());
 }
 
 namespace {
@@ -449,8 +451,8 @@ void Simulation::capture_snapshot(SimSnapshot& out,
   out.free_spans = ws_.free_spans;
   out.cluster = cluster_;
   out.rng = rng_;
-  local_backend_->capture_state(out.local_backend);
-  shared_backend_->capture_state(out.shared_backend);
+  local_backend_.capture_state(out.local_backend);
+  shared_backend_.capture_state(out.shared_backend);
   out.pending_min_mb = pending_min_mb_;
   out.sched_queue = sched_queue_;
   out.sched_running = sched_running_;
@@ -477,11 +479,11 @@ void Simulation::restore_snapshot(const SimSnapshot& snap) {
   ws_.chunk.clear();
   cluster_ = snap.cluster;
   rng_ = snap.rng;
-  // Backends are the instances begin_run created for the snapshot run —
-  // queued [backend, op] events and tasks_.backend hold raw pointers to
-  // them, so only their mutable state rewinds; they are never recreated.
-  local_backend_->restore_state(snap.local_backend);
-  shared_backend_->restore_state(snap.shared_backend);
+  // The devices are members — queued [backend, op] events and
+  // tasks_.backend hold raw pointers to them, so only their mutable state
+  // rewinds.
+  local_backend_.restore_state(snap.local_backend);
+  shared_backend_.restore_state(snap.shared_backend);
   pending_min_mb_ = snap.pending_min_mb;
   // The jobs-vector copy relocated each job's record buffer: re-point the
   // task rows of live jobs. Retired slots cleared their records (init_row

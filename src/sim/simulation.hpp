@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -389,8 +388,11 @@ class Simulation {
 
   Cluster cluster_;
   stats::Rng rng_;
-  std::unique_ptr<storage::StorageBackend> local_backend_;
-  std::unique_ptr<storage::StorageBackend> shared_backend_;
+  /// Held by value: task rows, queued end-of-write events and snapshots
+  /// keep their addresses. begin_run sets them up for each run by
+  /// reassignment; the constructor's devices are placeholders.
+  storage::StorageBackend local_backend_;
+  storage::StorageBackend shared_backend_;
 
   ReplayWorkspace owned_ws_;  ///< used when no shared workspace is passed
   ReplayWorkspace& ws_;

@@ -359,142 +359,6 @@ DistributionPtr Geometric::clone() const {
   return std::make_unique<Geometric>(*this);
 }
 
-// -------------------------------------------------------------------- Uniform
-
-Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
-  require(std::isfinite(lo) && std::isfinite(hi) && lo < hi,
-          "Uniform: requires finite lo < hi");
-}
-
-std::string Uniform::name() const { return fmt("uniform", {lo_, hi_}); }
-
-double Uniform::pdf(double x) const {
-  return (x < lo_ || x > hi_) ? 0.0 : 1.0 / (hi_ - lo_);
-}
-
-double Uniform::cdf(double x) const {
-  if (x < lo_) return 0.0;
-  if (x > hi_) return 1.0;
-  return (x - lo_) / (hi_ - lo_);
-}
-
-double Uniform::quantile(double p) const {
-  require(p >= 0.0 && p <= 1.0, "Uniform::quantile: p out of [0,1]");
-  return lo_ + p * (hi_ - lo_);
-}
-
-double Uniform::mean() const { return 0.5 * (lo_ + hi_); }
-
-double Uniform::variance() const {
-  const double w = hi_ - lo_;
-  return w * w / 12.0;
-}
-
-double Uniform::sample(Rng& rng) const { return rng.uniform(lo_, hi_); }
-
-DistributionPtr Uniform::clone() const {
-  return std::make_unique<Uniform>(*this);
-}
-
-// -------------------------------------------------------------------- Mixture
-
-Mixture::Mixture(std::vector<Component> components)
-    : components_(std::move(components)) {
-  require(!components_.empty(), "Mixture: needs at least one component");
-  double total = 0.0;
-  for (const auto& c : components_) {
-    require(c.weight > 0.0 && std::isfinite(c.weight),
-            "Mixture: weights must be positive and finite");
-    require(c.dist != nullptr, "Mixture: null component distribution");
-    total += c.weight;
-  }
-  for (auto& c : components_) c.weight /= total;
-}
-
-Mixture::Mixture(const Mixture& other) {
-  components_.reserve(other.components_.size());
-  for (const auto& c : other.components_) {
-    components_.push_back({c.weight, c.dist->clone()});
-  }
-}
-
-std::string Mixture::name() const {
-  std::ostringstream os;
-  os << "mixture[";
-  bool first = true;
-  for (const auto& c : components_) {
-    if (!first) os << " + ";
-    os << c.weight << '*' << c.dist->name();
-    first = false;
-  }
-  os << ']';
-  return os.str();
-}
-
-double Mixture::pdf(double x) const {
-  double acc = 0.0;
-  for (const auto& c : components_) acc += c.weight * c.dist->pdf(x);
-  return acc;
-}
-
-double Mixture::cdf(double x) const {
-  double acc = 0.0;
-  for (const auto& c : components_) acc += c.weight * c.dist->cdf(x);
-  return acc;
-}
-
-double Mixture::quantile(double p) const {
-  require(p >= 0.0 && p <= 1.0, "Mixture::quantile: p out of [0,1]");
-  // Bracket using component quantiles, then bisect the mixture CDF.
-  double lo = kInf, hi = -kInf;
-  for (const auto& c : components_) {
-    lo = std::min(lo, c.dist->quantile(std::min(p, 0.999999)));
-    hi = std::max(hi, c.dist->quantile(std::min(p, 0.999999)));
-  }
-  if (lo >= hi) return lo;
-  for (int iter = 0; iter < 200 && hi - lo > 1e-10 * (1.0 + std::abs(hi));
-       ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (cdf(mid) < p) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
-double Mixture::mean() const {
-  double acc = 0.0;
-  for (const auto& c : components_) acc += c.weight * c.dist->mean();
-  return acc;
-}
-
-double Mixture::variance() const {
-  // Var = sum w_i (var_i + mean_i^2) - mean^2
-  const double m = mean();
-  if (!std::isfinite(m)) return kInf;
-  double acc = 0.0;
-  for (const auto& c : components_) {
-    const double mi = c.dist->mean();
-    acc += c.weight * (c.dist->variance() + mi * mi);
-  }
-  return acc - m * m;
-}
-
-double Mixture::sample(Rng& rng) const {
-  double u = rng.uniform();
-  for (const auto& c : components_) {
-    if (u < c.weight) return c.dist->sample(rng);
-    u -= c.weight;
-  }
-  return components_.back().dist->sample(rng);
-}
-
-DistributionPtr Mixture::clone() const {
-  return std::make_unique<Mixture>(*this);
-}
-
 // ------------------------------------------------------------------ Truncated
 
 Truncated::Truncated(DistributionPtr base, double lo, double hi)

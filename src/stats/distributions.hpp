@@ -5,14 +5,13 @@
 ///
 /// The families mirror the ones the paper fits to Google failure intervals in
 /// Fig 5 (exponential, geometric, Laplace, normal, Pareto) plus Weibull and
-/// lognormal, which are standard for failure modelling, and uniform/point
-/// masses used by workload synthesis.
+/// lognormal, which are standard for failure modelling, and a truncation
+/// wrapper used by workload synthesis.
 
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "stats/distribution.hpp"
 
@@ -171,70 +170,6 @@ class Geometric final : public Distribution {
 
  private:
   double p_;
-};
-
-/// Uniform(lo, hi) continuous distribution.
-class Uniform final : public Distribution {
- public:
-  Uniform(double lo, double hi);
-
-  [[nodiscard]] double lo() const noexcept { return lo_; }
-  [[nodiscard]] double hi() const noexcept { return hi_; }
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double pdf(double x) const override;
-  [[nodiscard]] double cdf(double x) const override;
-  [[nodiscard]] double quantile(double p) const override;
-  [[nodiscard]] double mean() const override;
-  [[nodiscard]] double variance() const override;
-  [[nodiscard]] double sample(Rng& rng) const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-
- private:
-  double lo_;
-  double hi_;
-};
-
-/// Finite mixture of component distributions with given weights.
-///
-/// Used to model Google failure intervals: a bulk of short exponential
-/// intervals mixed with a Pareto tail, which reproduces the "most intervals
-/// short, MTBF huge" structure of Table 7.
-class Mixture final : public Distribution {
- public:
-  struct Component {
-    double weight;
-    DistributionPtr dist;
-  };
-
-  /// Weights must be positive; they are normalized internally.
-  explicit Mixture(std::vector<Component> components);
-
-  Mixture(const Mixture& other);
-  Mixture& operator=(const Mixture&) = delete;
-
-  [[nodiscard]] std::size_t component_count() const noexcept {
-    return components_.size();
-  }
-  [[nodiscard]] double weight(std::size_t i) const {
-    return components_.at(i).weight;
-  }
-  [[nodiscard]] const Distribution& component(std::size_t i) const {
-    return *components_.at(i).dist;
-  }
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double pdf(double x) const override;
-  [[nodiscard]] double cdf(double x) const override;
-  /// Quantile via bisection on the mixture CDF.
-  [[nodiscard]] double quantile(double p) const override;
-  [[nodiscard]] double mean() const override;
-  [[nodiscard]] double variance() const override;
-  [[nodiscard]] double sample(Rng& rng) const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-
- private:
-  std::vector<Component> components_;
 };
 
 /// A distribution truncated to [lo, hi], renormalized.

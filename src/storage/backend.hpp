@@ -1,32 +1,40 @@
 #pragma once
 
 /// \file backend.hpp
-/// \brief Simulation-facing checkpoint storage devices.
+/// \brief The simulation-facing checkpoint storage device.
 ///
-/// A backend prices each checkpoint operation at the moment it starts, from
-/// (a) the task's memory footprint (calibrated curves, Fig 7 / Table 4),
-/// (b) the number of checkpoints concurrently in flight on the same server
-///     (contention, Tables 2-3), and
-/// (c) optional multiplicative measurement noise, reproducing the min/avg/max
-///     spread the paper reports over 25 repetitions.
+/// One concrete class models the paper's three devices (Section 4.2.2,
+/// Tables 2-3). They differ in three ways only:
+/// (a) which server a write lands on: the writer's own host (local ramdisk),
+///     the one NFS server (shared NFS), or a server drawn at random per
+///     checkpoint from one per host (DM-NFS);
+/// (b) whether writers sharing that server slow each other down: NFS cost
+///     grows linearly with the writers in flight on the server (Table 2),
+///     a ramdisk never contends; and
+/// (c) whether the operation outlasts the cost charged to the task: an NFS
+///     write keeps its server busy for the Table 4 operation time, a ramdisk
+///     write is a synchronous memory copy.
 ///
-/// Ops already in flight are not repriced when new writers arrive; the paper
-/// measures steady-state parallel degrees, which this approximates.
+/// Each op is priced at the moment it starts, from the task's memory
+/// footprint (calibrated curves, Fig 7 / Table 4), the writers already on its
+/// server, and optional multiplicative measurement noise reproducing the
+/// min/avg/max spread the paper reports over 25 repetitions. Ops already in
+/// flight are not repriced when new writers arrive; the paper measures
+/// steady-state parallel degrees, which this approximates.
 ///
 /// Hot-path notes: the memory-dependent part of a price is a pure function
 /// of (device, footprint) — callers replaying a task many times cache it via
 /// base_price() and start ops with begin_priced(), skipping the calibration
-/// curve on every checkpoint. In-flight ops are tracked in a slot/generation
-/// slab (OpSlab), so op bookkeeping never touches a hash map or the heap.
+/// curve on every checkpoint. No device call is virtual, and in-flight ops
+/// are tracked in a slot/generation slab (OpSlab), so op bookkeeping never
+/// touches a hash map or the heap.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "stats/rng.hpp"
 #include "storage/calibration.hpp"
-#include "storage/contention.hpp"
 
 namespace cloudcr::storage {
 
@@ -49,6 +57,13 @@ struct CheckpointPrice {
 /// Relative half-width of the multiplicative measurement noise; matches the
 /// ~±10 % spread between the min and max rows of Tables 2-3.
 inline constexpr double kDefaultNoise = 0.10;
+
+/// Cost growth per extra concurrent writer on one NFS server: `w` writers
+/// (the op being priced included) pay 1 + kNfsContentionSlope * (w - 1)
+/// times the single-writer price. Table 2's NFS "avg" row {1.67, 2.665,
+/// 5.38, 6.25, 8.95} is matched in shape by slope 1 (cost ~ proportional to
+/// the parallel degree).
+inline constexpr double kNfsContentionSlope = 1.0;
 
 /// Allocation-free registry of in-flight checkpoint ops. Op ids encode
 /// (slot, generation); ending an op is an O(1) generation check, and stale
@@ -104,11 +119,11 @@ class OpSlab {
   std::size_t high_water_ = 0;
 };
 
-/// Frozen mutable state of a backend: the in-flight op slab plus, for
-/// devices that track it, the per-server load vector. Calibration curves,
-/// noise configuration, and the RNG binding are construction-time state
-/// and deliberately excluded — a snapshot restores into the same backend
-/// instance (queued engine events hold raw backend pointers).
+/// Frozen mutable state of a device: the in-flight op slab plus the
+/// per-server load vector. Kind, noise and the RNG binding are
+/// construction-time state and deliberately excluded — a snapshot restores
+/// into the same device instance (queued engine events hold raw device
+/// pointers).
 struct BackendState {
   OpSlab ops;
   std::vector<std::size_t> per_server_active;
@@ -117,17 +132,27 @@ struct BackendState {
 /// A checkpoint storage device as seen by the simulator.
 class StorageBackend {
  public:
-  virtual ~StorageBackend() = default;
+  /// `rng` draws the measurement noise (when `noise` > 0) and DM-NFS's
+  /// server choice, and must outlive the device. DM-NFS needs `n_servers`
+  /// >= 1 (one NFS share per host); the other kinds ignore `n_servers`.
+  StorageBackend(DeviceKind kind, stats::Rng& rng, double noise = 0.0,
+                 std::size_t n_servers = 32);
 
-  [[nodiscard]] virtual DeviceKind kind() const noexcept = 0;
+  [[nodiscard]] DeviceKind kind() const noexcept { return kind_; }
 
   /// Contention-free price of a `mem_mb` checkpoint on this device.
-  [[nodiscard]] virtual CheckpointPrice base_price(double mem_mb) const = 0;
+  [[nodiscard]] CheckpointPrice base_price(double mem_mb) const {
+    return {checkpoint_cost(kind_, mem_mb), checkpoint_op_time(kind_, mem_mb)};
+  }
 
   /// Starts a checkpoint whose base price the caller already computed (via
-  /// base_price(), typically cached per task).
-  virtual CheckpointTicket begin_priced(const CheckpointPrice& base,
-                                        std::size_t host_id) = 0;
+  /// base_price(), typically cached per task). RNG draws, in order: DM-NFS
+  /// its server (even with one server), the cost noise, then the op-time
+  /// noise; shared NFS the cost noise, then the op-time noise; the ramdisk
+  /// one noise draw, whose noisy cost is also its op time. Noise draws are
+  /// made only when noise > 0.
+  CheckpointTicket begin_priced(const CheckpointPrice& base,
+                                std::size_t host_id);
 
   /// Starts a checkpoint of `mem_mb` megabytes originating from `host_id`.
   CheckpointTicket begin_checkpoint(double mem_mb, std::size_t host_id) {
@@ -136,154 +161,80 @@ class StorageBackend {
 
   /// Marks the op as finished; its server slot is released. Unknown ids are
   /// ignored (idempotent).
-  virtual void end_checkpoint(std::uint64_t op_id) = 0;
+  void end_checkpoint(std::uint64_t op_id);
 
-  /// True when finishing an op can change the price of a later one
-  /// (contention-priced devices). When false, callers need not deliver
+  /// True when finishing an op can change the price of a later one (the
+  /// contended NFS kinds). When false, callers need not deliver
   /// end_checkpoint at its exact simulated completion time.
-  [[nodiscard]] virtual bool completion_affects_pricing() const noexcept {
-    return true;
+  [[nodiscard]] bool completion_affects_pricing() const noexcept {
+    return kind_ != DeviceKind::kLocalRamdisk;
   }
 
   /// True when begin_priced is a pure function of its arguments: no
   /// contention state and no RNG draws. A replay may then price future ops
   /// on this device ahead of simulated time (checkpoint-run compression)
   /// without reordering anything observable.
-  [[nodiscard]] virtual bool begin_is_pure() const noexcept { return false; }
+  [[nodiscard]] bool begin_is_pure() const noexcept {
+    return kind_ == DeviceKind::kLocalRamdisk && noise_ <= 0.0;
+  }
 
   /// Cost of restarting a `mem_mb` task from this device's checkpoints.
-  [[nodiscard]] virtual double restart_cost(double mem_mb) const;
+  [[nodiscard]] double restart_cost(double mem_mb) const {
+    return storage::restart_cost(kind_, mem_mb);
+  }
 
   /// Number of checkpoint ops currently in flight (across all servers).
-  [[nodiscard]] virtual std::size_t active_ops() const noexcept = 0;
+  [[nodiscard]] std::size_t active_ops() const noexcept {
+    return ops_.active();
+  }
 
   /// Most ops ever in flight at once (observability high-water mark).
-  [[nodiscard]] virtual std::size_t ops_high_water() const noexcept = 0;
+  [[nodiscard]] std::size_t ops_high_water() const noexcept {
+    return ops_.high_water();
+  }
+
+  /// Servers whose writers contend: 1 for shared NFS, `n_servers` for
+  /// DM-NFS, none for the ramdisk (each write stays on its own host).
+  [[nodiscard]] std::size_t server_count() const noexcept {
+    return load_.size();
+  }
+
+  /// Ops currently writing to one server.
+  [[nodiscard]] std::size_t server_load(std::size_t server) const {
+    return load_.at(server);
+  }
 
   /// Copies the device's mutable state into `out` (simulation snapshots).
-  virtual void capture_state(BackendState& out) const = 0;
+  void capture_state(BackendState& out) const {
+    out.ops = ops_;
+    out.per_server_active = load_;
+  }
 
   /// Inverse of capture_state(). Must be called on the same instance the
   /// state was captured from — op ids held by queued events stay valid
   /// because the slab's slot generations are part of the copied state.
-  virtual void restore_state(const BackendState& state) = 0;
+  void restore_state(const BackendState& state) {
+    ops_ = state.ops;
+    load_ = state.per_server_active;
+  }
 
   /// Migration type implied by this device.
   [[nodiscard]] MigrationType migration_type() const noexcept {
-    return migration_for_device(kind());
+    return migration_for_device(kind_);
   }
-};
-
-/// Per-VM local ramdisk: cheap writes, no contention, migration type A.
-class LocalRamdiskBackend final : public StorageBackend {
- public:
-  /// noise = 0 disables the stochastic spread; rng may be null in that case.
-  explicit LocalRamdiskBackend(stats::Rng* rng = nullptr,
-                               double noise = 0.0);
-
-  [[nodiscard]] DeviceKind kind() const noexcept override {
-    return DeviceKind::kLocalRamdisk;
-  }
-  [[nodiscard]] CheckpointPrice base_price(double mem_mb) const override;
-  CheckpointTicket begin_priced(const CheckpointPrice& base,
-                                std::size_t host_id) override;
-  void end_checkpoint(std::uint64_t op_id) override;
-  [[nodiscard]] bool completion_affects_pricing() const noexcept override {
-    return false;  // ramdisk writes never contend
-  }
-  [[nodiscard]] bool begin_is_pure() const noexcept override {
-    return noise_ <= 0.0 || rng_ == nullptr;  // no contention; rng only
-                                              // when noise is enabled
-  }
-  [[nodiscard]] std::size_t active_ops() const noexcept override {
-    return ops_.active();
-  }
-  [[nodiscard]] std::size_t ops_high_water() const noexcept override {
-    return ops_.high_water();
-  }
-  void capture_state(BackendState& out) const override;
-  void restore_state(const BackendState& state) override;
 
  private:
+  [[nodiscard]] double apply_noise(double value) const {
+    if (noise_ <= 0.0) return value;
+    return value * rng_->uniform(1.0 - noise_, 1.0 + noise_);
+  }
+
+  DeviceKind kind_;
+  /// A pointer, not a reference, so a device can be reassigned.
   stats::Rng* rng_;
   double noise_;
-  OpSlab ops_;
+  std::vector<std::size_t> load_;  ///< writers in flight per server
+  OpSlab ops_;                     ///< payload = host (ramdisk) or server
 };
-
-/// Single shared NFS server: writes contend (cost grows ~linearly with the
-/// parallel degree), migration type B.
-class SharedNfsBackend final : public StorageBackend {
- public:
-  explicit SharedNfsBackend(stats::Rng* rng = nullptr, double noise = 0.0,
-                            double contention_slope = kNfsContentionSlope);
-
-  [[nodiscard]] DeviceKind kind() const noexcept override {
-    return DeviceKind::kSharedNfs;
-  }
-  [[nodiscard]] CheckpointPrice base_price(double mem_mb) const override;
-  CheckpointTicket begin_priced(const CheckpointPrice& base,
-                                std::size_t host_id) override;
-  void end_checkpoint(std::uint64_t op_id) override;
-  [[nodiscard]] std::size_t active_ops() const noexcept override {
-    return ops_.active();
-  }
-  [[nodiscard]] std::size_t ops_high_water() const noexcept override {
-    return ops_.high_water();
-  }
-  void capture_state(BackendState& out) const override;
-  void restore_state(const BackendState& state) override;
-
- private:
-  stats::Rng* rng_;
-  double noise_;
-  LinearContention contention_;
-  OpSlab ops_;
-};
-
-/// Distributively-managed NFS (the paper's design): every host runs an NFS
-/// server and each checkpoint picks a server uniformly at random, so
-/// concurrent writers rarely share a server and the cost stays flat.
-class DmNfsBackend final : public StorageBackend {
- public:
-  /// `n_servers` is the number of hosts, each exporting one NFS share.
-  /// DM-NFS requires an rng for server selection.
-  DmNfsBackend(std::size_t n_servers, stats::Rng& rng, double noise = 0.0,
-               double contention_slope = kNfsContentionSlope);
-
-  [[nodiscard]] DeviceKind kind() const noexcept override {
-    return DeviceKind::kDmNfs;
-  }
-  [[nodiscard]] CheckpointPrice base_price(double mem_mb) const override;
-  CheckpointTicket begin_priced(const CheckpointPrice& base,
-                                std::size_t host_id) override;
-  void end_checkpoint(std::uint64_t op_id) override;
-  [[nodiscard]] std::size_t active_ops() const noexcept override {
-    return ops_.active();
-  }
-  [[nodiscard]] std::size_t ops_high_water() const noexcept override {
-    return ops_.high_water();
-  }
-
-  [[nodiscard]] std::size_t server_count() const noexcept {
-    return per_server_active_.size();
-  }
-  /// Ops currently writing to one server (for contention validation tests).
-  [[nodiscard]] std::size_t server_load(std::size_t server) const;
-  void capture_state(BackendState& out) const override;
-  void restore_state(const BackendState& state) override;
-
- private:
-  stats::Rng& rng_;
-  double noise_;
-  LinearContention contention_;
-  std::vector<std::size_t> per_server_active_;
-  OpSlab ops_;  ///< payload = server index
-};
-
-/// Factory covering all three devices. For kDmNfs, `n_servers` hosts are
-/// assumed; rng must outlive the backend.
-std::unique_ptr<StorageBackend> make_backend(DeviceKind kind, stats::Rng& rng,
-                                             double noise = 0.0,
-                                             std::size_t n_servers = 32);
 
 }  // namespace cloudcr::storage

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "api/artifact_io.hpp"
 #include "metrics/export.hpp"
@@ -14,11 +15,15 @@ namespace cloudcr::svc {
 namespace {
 
 /// Strict cursor over one request line. Accepts exactly the JSON subset
-/// the protocol grammar uses; every rejection names what it saw so a
-/// client debugging by hand gets a usable error line back.
+/// the protocol grammar uses; every rejection names what it saw, and the
+/// key whose value it was reading, so a client debugging by hand gets a
+/// usable error line back.
 class JsonCursor {
  public:
   explicit JsonCursor(const std::string& text) : text_(text) {}
+
+  /// Names `key` in every rejection until the next call (empty: none).
+  void set_key(std::string key) { key_ = std::move(key); }
 
   void skip_ws() {
     while (pos_ < text_.size() &&
@@ -35,15 +40,15 @@ class JsonCursor {
   [[nodiscard]] char peek() {
     skip_ws();
     if (pos_ >= text_.size()) {
-      throw std::invalid_argument("request: unexpected end of line");
+      throw error("unexpected end of line");
     }
     return text_[pos_];
   }
 
   void expect(char c) {
     if (peek() != c) {
-      throw std::invalid_argument(std::string("request: expected '") + c +
-                                  "', got '" + text_[pos_] + "'");
+      throw error(std::string("expected '") + c + "', got '" + text_[pos_] +
+                  "'");
     }
     ++pos_;
   }
@@ -59,7 +64,7 @@ class JsonCursor {
     std::string out;
     while (true) {
       if (pos_ >= text_.size()) {
-        throw std::invalid_argument("request: unterminated string");
+        throw error("unterminated string");
       }
       const char c = text_[pos_++];
       if (c == '"') return out;
@@ -68,7 +73,7 @@ class JsonCursor {
         continue;
       }
       if (pos_ >= text_.size()) {
-        throw std::invalid_argument("request: unterminated escape");
+        throw error("unterminated escape");
       }
       const char esc = text_[pos_++];
       switch (esc) {
@@ -82,8 +87,7 @@ class JsonCursor {
         case 't': out += '\t'; break;
         case 'u': out += parse_unicode_escape(); break;
         default:
-          throw std::invalid_argument(
-              std::string("request: unsupported escape '\\") + esc + "'");
+          throw error(std::string("unsupported escape '\\") + esc + "'");
       }
     }
   }
@@ -101,16 +105,18 @@ class JsonCursor {
       ++pos_;
     }
     const std::string token = text_.substr(start, pos_ - start);
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(token, &used);
-      if (used != token.size() || token.empty()) {
-        throw std::invalid_argument(token);
-      }
-      return value;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("request: bad number '" + token + "'");
+    if (token.empty()) {
+      throw error(std::string("expected a number, got '") + peek() + "'");
     }
+    std::size_t used = 0;
+    double value = 0.0;
+    try {
+      value = std::stod(token, &used);
+    } catch (const std::exception&) {
+      used = 0;  // no digits, or out of range
+    }
+    if (used != token.size()) throw error("bad number '" + token + "'");
+    return value;
   }
 
   bool parse_bool() {
@@ -123,7 +129,7 @@ class JsonCursor {
       pos_ += 5;
       return false;
     }
-    throw std::invalid_argument("request: expected true or false");
+    throw error("expected true or false");
   }
 
   std::vector<std::string> parse_string_array() {
@@ -138,10 +144,15 @@ class JsonCursor {
   }
 
  private:
+  [[nodiscard]] std::invalid_argument error(const std::string& what) const {
+    if (key_.empty()) return std::invalid_argument("request: " + what);
+    return std::invalid_argument("request: \"" + key_ + "\": " + what);
+  }
+
   /// "\uXXXX" after the backslash-u has been consumed; returns UTF-8.
   std::string parse_unicode_escape() {
     if (pos_ + 4 > text_.size()) {
-      throw std::invalid_argument("request: truncated \\u escape");
+      throw error("truncated \\u escape");
     }
     unsigned int code = 0;
     for (int i = 0; i < 4; ++i) {
@@ -154,7 +165,7 @@ class JsonCursor {
       } else if (c >= 'A' && c <= 'F') {
         code |= static_cast<unsigned int>(c - 'A' + 10);
       } else {
-        throw std::invalid_argument("request: bad \\u escape digit");
+        throw error(std::string("bad \\u escape digit '") + c + "'");
       }
     }
     std::string out;
@@ -173,6 +184,7 @@ class JsonCursor {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::string key_;
 };
 
 Request::Op parse_op(const std::string& token) {
@@ -198,6 +210,7 @@ Request parse_request(const std::string& line) {
     while (true) {
       const std::string key = cursor.parse_string();
       cursor.expect(':');
+      cursor.set_key(key);
       if (key == "op") {
         request.op = parse_op(cursor.parse_string());
         saw_op = true;
@@ -227,6 +240,7 @@ Request parse_request(const std::string& line) {
         throw std::invalid_argument("request key '" + key +
                                     "' is not part of the protocol");
       }
+      cursor.set_key({});
       if (cursor.consume('}')) break;
       cursor.expect(',');
     }

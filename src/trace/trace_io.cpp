@@ -47,6 +47,8 @@ void write_csv_file(const std::string& path, const Trace& trace) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("write_csv_file: cannot open " + path);
   write_csv(os, trace);
+  os.flush();  // a full device fails only once the buffer drains
+  if (!os) throw std::runtime_error("write_csv_file: cannot write " + path);
 }
 
 Trace read_csv(std::istream& is) {

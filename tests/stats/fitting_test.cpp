@@ -214,7 +214,7 @@ TEST(FitAll, RejectsMismatchedSortedCopy) {
 TEST(KsStatistic, ZeroForPerfectStep) {
   // KS of a distribution against its own large sample should be small...
   Rng rng(53);
-  const Uniform d(0.0, 1.0);
+  const Normal d(0.0, 1.0);
   const auto samples = d.sample_n(rng, 20000);
   EXPECT_LT(ks_statistic(samples, d), 0.02);
 }
@@ -228,7 +228,7 @@ TEST(KsStatistic, LargeForWrongModel) {
 }
 
 TEST(KsStatistic, BoundedByOne) {
-  const Uniform d(100.0, 101.0);
+  const Pareto d(2.0, 100.0);  // no mass below 100
   const std::vector<double> samples{0.0, 1.0, 2.0};
   const double ks = ks_statistic(samples, d);
   EXPECT_GT(ks, 0.9);
