@@ -16,6 +16,20 @@
 
 namespace cloudcr::api {
 
+namespace {
+
+/// The run-once key: scenario_cache_key of the spec with its name cleared,
+/// since a name never reaches the replay. A traced spec keeps its name,
+/// because each traced run writes a file named after it.
+std::string run_key(const ScenarioSpec& spec) {
+  if (!spec.obs.trace_path.empty()) return scenario_cache_key(spec);
+  ScenarioSpec unnamed = spec;
+  unnamed.name.clear();
+  return scenario_cache_key(unnamed);
+}
+
+}  // namespace
+
 template <typename Factory>
 TraceCache::TracePtr TraceCache::get(const std::string& key,
                                      Factory&& factory) {
@@ -64,12 +78,29 @@ std::vector<RunArtifact> BatchRunner::run(
   std::vector<RunArtifact> artifacts(specs.size());
   if (specs.empty()) return artifacts;
 
+  // One run per distinct scenario: only the first spec of each run key goes
+  // to the workers, and copies[i] lists the later indices that share its
+  // artifact.
+  std::vector<std::size_t> firsts;
+  std::vector<std::vector<std::size_t>> copies(specs.size());
+  {
+    std::map<std::string, std::size_t> first_of;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const auto [it, inserted] = first_of.emplace(run_key(specs[i]), i);
+      if (inserted) {
+        firsts.push_back(i);
+      } else {
+        copies[it->second].push_back(i);
+      }
+    }
+  }
+
   std::size_t threads = options_.threads;
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
   }
-  if (threads > specs.size()) threads = specs.size();
+  if (threads > firsts.size()) threads = firsts.size();
 
   TraceCache local_cache;
   TraceCache& cache = traces != nullptr ? *traces : local_cache;
@@ -98,8 +129,9 @@ std::vector<RunArtifact> BatchRunner::run(
       // Fail fast: once any spec has thrown, the batch outcome is decided —
       // don't run the remaining (potentially long) simulations.
       if (failed.load(std::memory_order_relaxed)) return;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= specs.size()) return;
+      const std::size_t n = next.fetch_add(1, std::memory_order_relaxed);
+      if (n >= firsts.size()) return;
+      const std::size_t i = firsts[n];
       try {
         const ScenarioSpec& spec = specs[i];
         RunHooks run_hooks = hooks;
@@ -141,6 +173,17 @@ std::vector<RunArtifact> BatchRunner::run(
         }
         artifacts[i] = run_scenario(spec, run_hooks);
         report_progress(artifacts[i]);
+        // A copy carries its own spec; nothing ran for it, so it spent no
+        // host time and read no trace.
+        for (const std::size_t j : copies[i]) {
+          artifacts[j] = artifacts[i];
+          artifacts[j].spec = specs[j];
+          artifacts[j].wall_time_s = 0.0;
+          artifacts[j].estimation_wall_s = 0.0;
+          artifacts[j].trace_reads = 0;
+          artifacts[j].rows_read = 0;
+          report_progress(artifacts[j]);
+        }
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();

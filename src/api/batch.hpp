@@ -15,6 +15,17 @@
 /// paired-comparison shape) generate their trace once via a memoizing
 /// TraceCache; generation is deterministic, so sharing cannot change
 /// results, only wall time.
+///
+/// Likewise, specs that differ only in their name run once. BatchRunner keys
+/// each spec by api::scenario_cache_key of a copy with the name cleared (the
+/// key SimService's artifact cache uses), sends only the first spec of each
+/// key to the workers, and copies its artifact to every later index with
+/// that key. A copy carries its own spec, and its wall_time_s,
+/// estimation_wall_s, trace_reads and rows_read are 0, since nothing ran
+/// for it. A traced spec (obs trace_path set) keeps its name in the key,
+/// because each traced run writes a file named after it. The paper reads
+/// several figures off one experiment, so the report matrix holds such
+/// twins (fig10 repeats fig09's runs, fig12 and fig13 repeat fig11's).
 
 #include <cstddef>
 #include <functional>
@@ -62,6 +73,8 @@ struct BatchOptions {
   /// Optional progress callback, invoked once per finished artifact (in
   /// completion order, under an internal mutex — callers need no locking)
   /// with the artifact, the number finished so far, and the batch size.
+  /// Every spec is reported once: a copy made under the run-once rule
+  /// (file comment) is reported as finished right after the run it copies.
   /// Purely observational: artifacts and their order are unaffected. Keep it
   /// cheap — every worker serializes through it.
   std::function<void(const RunArtifact&, std::size_t done, std::size_t total)>
@@ -78,7 +91,8 @@ class BatchRunner {
   /// pool (a shared one would race). Worker exceptions are rethrown on the
   /// calling thread. Traces come from `traces` when given — a caller that
   /// owns the cache can read the batch's traces after it returns — and from
-  /// a cache local to this call otherwise.
+  /// a cache local to this call otherwise. Specs that differ only in their
+  /// name share one run (see the file comment).
   [[nodiscard]] std::vector<RunArtifact> run(
       const std::vector<ScenarioSpec>& specs, const RunHooks& hooks = {},
       TraceCache* traces = nullptr) const;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "api/registry.hpp"
@@ -58,8 +59,13 @@ struct RunTracer {
     if (obs::TraceWriter* w = get()) w->host_span(name, t0, t1);
   }
 
+  /// Throws when the trace file cannot be written, so a run never reports
+  /// success for output it did not produce.
   void finish() {
-    if (writer_) writer_->write_json_file(out_path_);
+    if (writer_ && !writer_->write_json_file(out_path_)) {
+      throw std::runtime_error("cannot write trace output '" + out_path_ +
+                               "'");
+    }
   }
 
  private:

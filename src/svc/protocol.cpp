@@ -3,6 +3,7 @@
 #include <cctype>
 #include <istream>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -201,31 +202,27 @@ Request::Op parse_op(const std::string& token) {
 Request parse_request(const std::string& line) {
   JsonCursor cursor(line);
   Request request;
-  bool saw_op = false;
-  bool saw_spec = false;
-  bool saw_specs = false;
-  bool saw_fork = false;
+  std::set<std::string> seen;  // keys read so far; each may appear once
   cursor.expect('{');
   if (!cursor.consume('}')) {
     while (true) {
       const std::string key = cursor.parse_string();
+      if (!seen.insert(key).second) {
+        throw std::invalid_argument("request: repeated key \"" + key + "\"");
+      }
       cursor.expect(':');
       cursor.set_key(key);
       if (key == "op") {
         request.op = parse_op(cursor.parse_string());
-        saw_op = true;
       } else if (key == "spec") {
         request.spec = cursor.parse_string();
-        saw_spec = true;
       } else if (key == "specs") {
         request.specs = cursor.parse_string_array();
-        saw_specs = true;
       } else if (key == "fork_at") {
         request.fork_at = cursor.parse_number();
         if (request.fork_at < 0.0) {
           throw std::invalid_argument("request: \"fork_at\" must be >= 0");
         }
-        saw_fork = true;
       } else if (key == "policy") {
         request.policy = cursor.parse_string();
       } else if (key == "detection_delay_s") {
@@ -248,17 +245,22 @@ Request parse_request(const std::string& line) {
   if (!cursor.at_end()) {
     throw std::invalid_argument("request: trailing bytes after the object");
   }
-  if (!saw_op) throw std::invalid_argument("request: missing \"op\"");
+  const auto saw = [&seen](const char* key) { return seen.count(key) != 0; };
+  if (!saw("op")) throw std::invalid_argument("request: missing \"op\"");
   switch (request.op) {
     case Request::Op::kRun:
-      if (!saw_spec) throw std::invalid_argument("run: missing \"spec\"");
+      if (!saw("spec")) throw std::invalid_argument("run: missing \"spec\"");
       break;
     case Request::Op::kBatch:
-      if (!saw_specs) throw std::invalid_argument("batch: missing \"specs\"");
+      if (!saw("specs")) {
+        throw std::invalid_argument("batch: missing \"specs\"");
+      }
       break;
     case Request::Op::kWhatIf:
-      if (!saw_spec) throw std::invalid_argument("whatif: missing \"spec\"");
-      if (!saw_fork) throw std::invalid_argument("whatif: missing \"fork_at\"");
+      if (!saw("spec")) throw std::invalid_argument("whatif: missing \"spec\"");
+      if (!saw("fork_at")) {
+        throw std::invalid_argument("whatif: missing \"fork_at\"");
+      }
       break;
     case Request::Op::kStats:
       break;

@@ -1,17 +1,23 @@
 // BatchRunner: the determinism property (parallel == serial, bit-identical),
 // artifact ordering, trace sharing (also through a caller-owned TraceCache),
-// error propagation — and ScenarioRunner equivalence with a hand-wired
-// Simulation.
+// error propagation, one run per distinct scenario — and ScenarioRunner
+// equivalence with a hand-wired Simulation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "api/artifact_io.hpp"
 #include "api/batch.hpp"
 #include "api/registry.hpp"
 #include "api/runner.hpp"
+#include "obs/stats.hpp"
 #include "sim/predictors.hpp"
 #include "sim/simulation.hpp"
 
@@ -178,6 +184,137 @@ TEST(BatchRunner, WorkerErrorsPropagateToCaller) {
   BatchOptions options;
   options.threads = 4;
   EXPECT_THROW((void)BatchRunner(options).run(specs), std::invalid_argument);
+}
+
+// -- one run per distinct scenario -------------------------------------------
+
+/// Three specs that differ only in their name, and one distinct spec.
+std::vector<ScenarioSpec> name_only_twins() {
+  ScenarioSpec twin;
+  twin.name = "twin_a";
+  twin.trace = small_trace(4242);
+  ScenarioSpec other = twin;
+  other.name = "other";
+  other.policy = "young";
+  std::vector<ScenarioSpec> specs = {twin, other, twin, twin};
+  specs[2].name = "twin_b";
+  specs[3].name = "twin_c";
+  return specs;
+}
+
+/// The artifact as JSON (spec, summary, probes and outcomes) with the
+/// host-side fields a copy does not share with a run zeroed.
+std::string without_host_fields(RunArtifact artifact) {
+  artifact.wall_time_s = 0.0;
+  artifact.estimation_wall_s = 0.0;
+  artifact.peak_rss_mb = 0.0;
+  artifact.trace_reads = 0;
+  artifact.rows_read = 0;
+  std::ostringstream os;
+  write_artifact_json(os, artifact);
+  return os.str();
+}
+
+std::uint64_t events_popped() {
+  for (const obs::StatValue& v : obs::stats_snapshot()) {
+    if (v.name == "sim.events_popped") return v.value;
+  }
+  return 0;
+}
+
+TEST(BatchRunnerRunOnce, NameOnlyTwinsEqualStandaloneRuns) {
+  const auto specs = name_only_twins();
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    BatchOptions options;
+    options.threads = threads;
+    const auto artifacts = BatchRunner(options).run(specs);
+    ASSERT_EQ(artifacts.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const RunArtifact alone = ScenarioRunner(specs[i]).run();
+      EXPECT_EQ(artifacts[i].spec, specs[i]);
+      EXPECT_EQ(without_host_fields(artifacts[i]), without_host_fields(alone));
+      const auto& r = artifacts[i].result;
+      EXPECT_EQ(r.total_unschedulable, alone.result.total_unschedulable);
+      EXPECT_EQ(r.total_sched_wait_s, alone.result.total_sched_wait_s);
+      EXPECT_EQ(r.backfilled_jobs, alone.result.backfilled_jobs);
+      EXPECT_EQ(r.preempted_tasks, alone.result.preempted_tasks);
+    }
+    // The twins after the first were copied, not run.
+    EXPECT_GT(artifacts[0].wall_time_s, 0.0);
+    EXPECT_EQ(artifacts[2].wall_time_s, 0.0);
+    EXPECT_EQ(artifacts[3].wall_time_s, 0.0);
+  }
+}
+
+TEST(BatchRunnerRunOnce, MergedRegistryCountsEachDistinctRunOnce) {
+  auto specs = name_only_twins();
+  for (auto& spec : specs) spec.obs.stats = true;
+  obs::reset_stats();
+  (void)ScenarioRunner(specs[0]).run();
+  (void)ScenarioRunner(specs[1]).run();
+  const std::uint64_t distinct = events_popped();
+  ASSERT_GT(distinct, 0u);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    obs::reset_stats();
+    BatchOptions options;
+    options.threads = threads;
+    (void)BatchRunner(options).run(specs);
+    EXPECT_EQ(events_popped(), distinct);
+  }
+  obs::reset_stats();
+}
+
+TEST(BatchRunnerRunOnce, ProgressFiresOncePerSpec) {
+  const auto specs = name_only_twins();
+  std::vector<std::string> expected;
+  for (const auto& spec : specs) expected.push_back(spec.name);
+  std::sort(expected.begin(), expected.end());
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::vector<std::string> names;
+    std::vector<std::size_t> done_counts;
+    BatchOptions options;
+    options.threads = threads;
+    options.progress = [&](const RunArtifact& artifact, std::size_t done,
+                           std::size_t total) {
+      names.push_back(artifact.spec.name);
+      done_counts.push_back(done);
+      EXPECT_EQ(total, specs.size());
+    };
+    (void)BatchRunner(options).run(specs);
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, expected);
+    EXPECT_EQ(done_counts, (std::vector<std::size_t>{1, 2, 3, 4}));
+  }
+}
+
+TEST(BatchRunnerRunOnce, TracedTwinsEachRunAndWriteTheirFile) {
+  namespace fs = std::filesystem;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const fs::path dir = fs::path(testing::TempDir()) /
+                         ("run_once_traced_" + std::to_string(threads));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    ScenarioSpec spec;
+    spec.trace = small_trace(4242);
+    spec.obs.trace_path = (dir / "{name}.json").string();
+    std::vector<ScenarioSpec> specs = {spec, spec};
+    specs[0].name = "traced_a";
+    specs[1].name = "traced_b";
+    BatchOptions options;
+    options.threads = threads;
+    const auto artifacts = BatchRunner(options).run(specs);
+    ASSERT_EQ(artifacts.size(), 2u);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_GT(artifacts[i].wall_time_s, 0.0) << specs[i].name;
+      EXPECT_TRUE(fs::exists(dir / (specs[i].name + ".json")))
+          << specs[i].name;
+    }
+    fs::remove_all(dir);
+  }
 }
 
 TEST(ScenarioRunner, MatchesHandWiredSimulation) {

@@ -1,7 +1,7 @@
 // svc::parse_request, the wire parser of cloudcr_serve: one accepted line
-// per op, and every rejection names its problem — and, for a bad value, the
-// key it belongs to — so a client debugging by hand gets a usable error
-// line back.
+// per op, and every rejection names its problem — and, for a bad value or a
+// repeated key, the key it belongs to — so a client debugging by hand gets a
+// usable error line back.
 
 #include <stdexcept>
 #include <string>
@@ -91,6 +91,10 @@ TEST(ParseRequest, RejectionsNameTheProblem) {
       {R"({"op":"run","spec":)", "unexpected end of line", "spec"},
       {R"({"op":"run" "spec":"x"})", "expected ','", nullptr},
       {R"(["op","stats"])", "expected '{'", nullptr},
+      {R"({"op":"run","spec":"trace.horizon_s=nan","op":"stats"})",
+       "repeated key", "op"},
+      {R"({"op":"whatif","spec":"","fork_at":5,"fork_at":6})", "repeated key",
+       "fork_at"},
   };
   for (const Rejection& c : cases) {
     SCOPED_TRACE(c.line);

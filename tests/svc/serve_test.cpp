@@ -1,10 +1,11 @@
 // The serve loop under requests that used to spin forever: a NaN horizon or
 // arrival rate (NaN passes every "<= 0" test, and the arrival loop ends only
 // once an arrival passes the horizon), and an infinite failure-detection
-// delay (the re-dispatch is scheduled at t = inf). Each such request, and a
-// what-if with a negative time, must be answered ok:false with the field
-// named, and the request after it must still be answered. An infinite
-// horizon capped by max_jobs stays a valid request.
+// delay (the re-dispatch is scheduled at t = inf). Each such request, a
+// what-if with a negative time, and a request that repeats a key must be
+// answered ok:false with the field named, and the request after it must
+// still be answered. An infinite horizon capped by max_jobs stays a valid
+// request.
 
 #include <sstream>
 #include <string>
@@ -52,6 +53,9 @@ TEST(Serve, UnboundedRequestIsRefusedAndTheNextRequestAnswered) {
       {run("detection_delay_s=inf\\ntrace.horizon_s=600"), "detection_delay_s"},
       {whatif("\"fork_at\":-1"), "fork_at"},
       {whatif("\"fork_at\":0,\"detection_delay_s\":-1"), "detection_delay_s"},
+      // A repeated key used to keep its last value and answer as stats.
+      {R"({"op":"run","spec":"trace.horizon_s=nan","op":"stats"})",
+       R"(repeated key \"op\")"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.request);
