@@ -46,7 +46,6 @@
 #include "api/registry.hpp"
 #include "api/runner.hpp"
 #include "api/scenario.hpp"
-#include "core/estimator.hpp"
 #include "metrics/export.hpp"
 #include "obs/probe.hpp"
 #include "obs/spec.hpp"
@@ -89,14 +88,14 @@ void register_custom_grouped() {
   class CustomGroupedBuilder final : public api::PredictorBuilder {
    public:
     void observe_task(const trace::TaskRecord& task) override {
-      sim::observe_task(estimator_, task);
+      estimator_.observe(task);
     }
     [[nodiscard]] sim::StatsPredictor finalize() override {
-      return sim::make_grouped_predictor(std::move(estimator_));
+      return sim::make_grouped_predictor(estimator_);
     }
 
    private:
-    core::GroupedEstimator estimator_{trace::kNoLengthLimit};
+    trace::GroupedEstimator estimator_;
   };
   api::PredictorRegistry::instance().add(
       "custom_grouped", [](const std::string&) -> api::PredictorBuilderPtr {

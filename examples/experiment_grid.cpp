@@ -18,7 +18,6 @@
 #include "api/artifact_io.hpp"
 #include "api/batch.hpp"
 #include "api/registry.hpp"
-#include "core/estimator.hpp"
 #include "metrics/report.hpp"
 #include "sim/predictors.hpp"
 
@@ -49,11 +48,11 @@ class HalfIntervalPolicy final : public core::CheckpointPolicy {
 class PessimisticGroupedBuilder final : public api::PredictorBuilder {
  public:
   void observe_task(const trace::TaskRecord& task) override {
-    sim::observe_task(estimator_, task);
+    estimator_.observe(task);
   }
 
   [[nodiscard]] sim::StatsPredictor finalize() override {
-    auto base = sim::make_grouped_predictor(std::move(estimator_));
+    auto base = sim::make_grouped_predictor(estimator_);
     return [base = std::move(base)](const trace::TaskRecord& task,
                                     int priority) {
       core::FailureStats stats = base(task, priority);
@@ -63,7 +62,7 @@ class PessimisticGroupedBuilder final : public api::PredictorBuilder {
   }
 
  private:
-  core::GroupedEstimator estimator_{trace::kNoLengthLimit};
+  trace::GroupedEstimator estimator_;
 };
 
 }  // namespace

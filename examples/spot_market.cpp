@@ -18,7 +18,7 @@
 
 #include "api/batch.hpp"
 #include "metrics/report.hpp"
-#include "sim/predictors.hpp"
+#include "trace/estimators.hpp"
 #include "trace/generator.hpp"
 
 using namespace cloudcr;
@@ -83,11 +83,14 @@ int main() {
     const auto& res_f3 = artifacts[0].result;
     const auto& res_y = artifacts[1].result;
 
-    const auto est = sim::build_estimator(trace);
+    trace::GroupedEstimator est;
+    for (const auto& job : trace.jobs) {
+      for (const auto& task : job.tasks) est.observe(task);
+    }
     const auto stats = est.query(bid + 1);
     std::cout << "bid " << kBidNames[bid] << ": jobs=" << trace.job_count()
               << " est mnof=" << metrics::fmt(stats.mnof, 2)
-              << " mtbf=" << metrics::fmt(stats.mtbf_s, 0) << "s"
+              << " mtbf=" << metrics::fmt(stats.mtbf, 0) << "s"
               << " | avg WPR formula3=" << metrics::fmt(res_f3.average_wpr(), 3)
               << " young=" << metrics::fmt(res_y.average_wpr(), 3)
               << (res_f3.average_wpr() >= res_y.average_wpr() ? "  <- F3"

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "api/scenario.hpp"
-#include "core/estimator.hpp"
 #include "sim/predictors.hpp"
 
 namespace cloudcr::api {
@@ -20,6 +19,16 @@ namespace {
   for (const auto& n : known) os << ' ' << n;
   os << ")";
   throw std::invalid_argument(os.str());
+}
+
+/// Refuses an argument on a key that takes none ("young:xyz"), so one
+/// scenario never has two spellings (two cache keys in the service).
+void require_no_arg(const std::string& kind, const std::string& name,
+                    const std::string& arg) {
+  if (!arg.empty()) {
+    throw std::invalid_argument(kind + " " + name +
+                                ": takes no argument, got '" + arg + "'");
+  }
 }
 
 /// Built-ins get the estimation length limit from the key argument when
@@ -39,8 +48,9 @@ class OracleBuilder final : public PredictorBuilder {
 };
 
 /// grouped / submission — both aggregate the estimation view into a
-/// core::GroupedEstimator (O(1) memory: per-priority sums only) and differ
-/// only in how the finalized predictor keys its lookups.
+/// trace::GroupedEstimator, the estimator behind Table 7 (O(1) memory:
+/// per-priority sums only), and differ only in how the finalized predictor
+/// keys its lookups.
 class GroupedStatsBuilder final : public PredictorBuilder {
  public:
   enum class Kind { kGrouped, kSubmission };
@@ -49,19 +59,18 @@ class GroupedStatsBuilder final : public PredictorBuilder {
       : kind_(kind), estimator_(length_limit) {}
 
   void observe_task(const trace::TaskRecord& task) override {
-    sim::observe_task(estimator_, task);
+    estimator_.observe(task);
   }
 
   [[nodiscard]] sim::StatsPredictor finalize() override {
     return kind_ == Kind::kGrouped
-               ? sim::make_grouped_predictor(std::move(estimator_))
-               : sim::make_submission_priority_predictor(
-                     std::move(estimator_));
+               ? sim::make_grouped_predictor(estimator_)
+               : sim::make_submission_priority_predictor(estimator_);
   }
 
  private:
   Kind kind_;
-  core::GroupedEstimator estimator_;
+  trace::GroupedEstimator estimator_;
 };
 
 }  // namespace
@@ -97,13 +106,16 @@ PolicyRegistry::PolicyRegistry() {
                                     arg + "' (want none or 'exact')");
       },
       "formula3[:exact]");
-  add("young", [](const std::string&) -> core::PolicyPtr {
+  add("young", [](const std::string& arg) -> core::PolicyPtr {
+    require_no_arg("policy", "young", arg);
     return std::make_unique<core::YoungPolicy>();
   });
-  add("daly", [](const std::string&) -> core::PolicyPtr {
+  add("daly", [](const std::string& arg) -> core::PolicyPtr {
+    require_no_arg("policy", "daly", arg);
     return std::make_unique<core::DalyPolicy>();
   });
-  add("none", [](const std::string&) -> core::PolicyPtr {
+  add("none", [](const std::string& arg) -> core::PolicyPtr {
+    require_no_arg("policy", "none", arg);
     return std::make_unique<core::NoCheckpointPolicy>();
   });
   add(
@@ -172,7 +184,8 @@ core::PolicyPtr PolicyRegistry::make(const std::string& key) const {
 // -- PredictorRegistry ------------------------------------------------------
 
 PredictorRegistry::PredictorRegistry() {
-  add("oracle", [](const std::string&) -> PredictorBuilderPtr {
+  add("oracle", [](const std::string& arg) -> PredictorBuilderPtr {
+    require_no_arg("predictor", "oracle", arg);
     return std::make_unique<OracleBuilder>();
   });
   add(

@@ -13,7 +13,7 @@ namespace {
 
 /// A TraceSpec's per-job post-processing verdict, preserving the
 /// materialized pipeline's order and semantics exactly:
-///   1. sample-job filter (ingest::apply_sample_job_filter's predicate);
+///   1. sample-job filter (trace::JobRecord::is_sample_job);
 ///   2. max_jobs cap — counts jobs that *survive the filter*, like
 ///      cap_jobs on the filtered trace, and ends the sequence once reached;
 ///   3. replay length restriction (trace::restrict_length's predicate) —
@@ -33,9 +33,7 @@ class SpecJobGate {
         max_task_length_s_(max_task_length_s) {}
 
   [[nodiscard]] Verdict admit(const trace::JobRecord& job) {
-    if (sample_filter_ && 2 * job.failed_task_count() < job.tasks.size()) {
-      return Verdict::kDrop;
-    }
+    if (sample_filter_ && !job.is_sample_job()) return Verdict::kDrop;
     if (max_jobs_ != 0 && accepted_ >= max_jobs_) return Verdict::kEnd;
     ++accepted_;
     if (!within_length_limit(job)) return Verdict::kDrop;

@@ -71,7 +71,7 @@ std::string IngestReport::summary() const {
 
 void apply_sample_job_filter(trace::Trace& trace) {
   std::erase_if(trace.jobs, [](const trace::JobRecord& job) {
-    return 2 * job.failed_task_count() < job.tasks.size();
+    return !job.is_sample_job();
   });
 }
 

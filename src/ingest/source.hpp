@@ -161,10 +161,10 @@ using SourcePtr = std::unique_ptr<TraceSource>;
 
 // -- shared post-processing --------------------------------------------------
 
-/// The paper's sample-job filter (Section 5.1): keeps only jobs where at
-/// least half the tasks suffer a failure within their own productive length.
-/// Applied by api::make_trace to ingested traces when the owning TraceSpec
-/// requests it (the synthetic generator applies it internally).
+/// The paper's sample-job filter (Section 5.1): keeps only the jobs for
+/// which trace::JobRecord::is_sample_job() holds. Applied by api::make_trace
+/// to ingested traces when the owning TraceSpec requests it (the synthetic
+/// generator applies it internally).
 void apply_sample_job_filter(trace::Trace& trace);
 
 /// Truncates the trace to its first `max_jobs` jobs (0 = unlimited),

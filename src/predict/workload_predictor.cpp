@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace cloudcr::predict {
@@ -11,12 +10,6 @@ BiasedPredictor::BiasedPredictor(double factor) : factor_(factor) {
   if (!(factor > 0.0)) {
     throw std::invalid_argument("BiasedPredictor: factor must be > 0");
   }
-}
-
-std::string BiasedPredictor::name() const {
-  std::ostringstream os;
-  os << "biased(x" << factor_ << ')';
-  return os.str();
 }
 
 double BiasedPredictor::predict(const trace::TaskRecord& task) const {
@@ -28,12 +21,6 @@ NoisyPredictor::NoisyPredictor(double sigma, std::uint64_t seed)
   if (sigma < 0.0) {
     throw std::invalid_argument("NoisyPredictor: sigma must be >= 0");
   }
-}
-
-std::string NoisyPredictor::name() const {
-  std::ostringstream os;
-  os << "noisy(sigma=" << sigma_ << ')';
-  return os.str();
 }
 
 double NoisyPredictor::predict(const trace::TaskRecord& task) const {

@@ -7,16 +7,16 @@
 /// The checkpoint planner consumes a *predicted* productive length; the
 /// paper names two practical sources — polynomial regression on the task's
 /// input parameters [22] and estimation from historical runs of the same
-/// service [25]. Both are provided, plus exact/noisy oracles for ablation.
+/// service [25]. Both are provided, plus biased/noisy oracles for ablation;
+/// exact prediction is sim::SimConfig::length_predictor left null. Each
+/// class plugs into that hook through a lambda calling its predict().
 /// Formula (3) is remarkably tolerant of misprediction because the optimal
 /// interval scales with sqrt(Te): a 2x length error moves the interval by
 /// only ~41% (see bench_ablation_prediction).
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
-#include <string>
 
 #include "predict/polynomial.hpp"
 #include "stats/rng.hpp"
@@ -24,31 +24,12 @@
 
 namespace cloudcr::predict {
 
-/// Estimates a task's productive length before it runs.
-class WorkloadPredictor {
- public:
-  virtual ~WorkloadPredictor() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Predicted Te (s); must be positive.
-  [[nodiscard]] virtual double predict(const trace::TaskRecord& task) const = 0;
-};
-
-/// Oracle: returns the exact length (the default everywhere).
-class ExactPredictor final : public WorkloadPredictor {
- public:
-  [[nodiscard]] std::string name() const override { return "exact"; }
-  [[nodiscard]] double predict(const trace::TaskRecord& task) const override {
-    return task.length_s;
-  }
-};
-
 /// Multiplies the exact length by a fixed factor — the ablation knob for
 /// systematic over/under-prediction.
-class BiasedPredictor final : public WorkloadPredictor {
+class BiasedPredictor {
  public:
   explicit BiasedPredictor(double factor);
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double predict(const trace::TaskRecord& task) const override;
+  [[nodiscard]] double predict(const trace::TaskRecord& task) const;
 
  private:
   double factor_;
@@ -56,11 +37,10 @@ class BiasedPredictor final : public WorkloadPredictor {
 
 /// Multiplies the exact length by lognormal noise with the given sigma —
 /// models an unbiased but imperfect parser.
-class NoisyPredictor final : public WorkloadPredictor {
+class NoisyPredictor {
  public:
   NoisyPredictor(double sigma, std::uint64_t seed);
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double predict(const trace::TaskRecord& task) const override;
+  [[nodiscard]] double predict(const trace::TaskRecord& task) const;
 
  private:
   double sigma_;
@@ -70,18 +50,17 @@ class NoisyPredictor final : public WorkloadPredictor {
 /// History-based estimator [25]: per key (e.g. the service the task
 /// instantiates) keep a running mean of completed lengths and predict it for
 /// the next instance. Falls back to the global mean, then to `default_s`.
-class HistoryPredictor final : public WorkloadPredictor {
+class HistoryPredictor {
  public:
   explicit HistoryPredictor(double default_s = 600.0);
 
   /// Records a completed run of `key` with productive length `length_s`.
   void observe(std::uint64_t key, double length_s);
 
-  [[nodiscard]] std::string name() const override { return "history"; }
   /// Keys tasks by their job's id modulo nothing — callers usually wrap
   /// this class and pass their own key; this overload keys on priority as a
   /// coarse service class.
-  [[nodiscard]] double predict(const trace::TaskRecord& task) const override;
+  [[nodiscard]] double predict(const trace::TaskRecord& task) const;
   /// Keyed prediction for callers with a real service identifier.
   [[nodiscard]] double predict_key(std::uint64_t key) const;
 
@@ -101,7 +80,7 @@ class HistoryPredictor final : public WorkloadPredictor {
 
 /// Regression-based estimator [22]: learns length = f(input size) from
 /// (input, length) training pairs and predicts from the task's input size.
-class RegressionPredictor final : public WorkloadPredictor {
+class RegressionPredictor {
  public:
   /// Fits a polynomial of the given degree to the training set. Predictions
   /// are clamped to [min_s, inf).
@@ -109,8 +88,7 @@ class RegressionPredictor final : public WorkloadPredictor {
                       std::span<const double> lengths, std::size_t degree,
                       double min_s = 1.0);
 
-  [[nodiscard]] std::string name() const override { return "regression"; }
-  [[nodiscard]] double predict(const trace::TaskRecord& task) const override;
+  [[nodiscard]] double predict(const trace::TaskRecord& task) const;
   [[nodiscard]] const PolynomialRegression& model() const noexcept {
     return model_;
   }

@@ -4,6 +4,23 @@
 
 namespace cloudcr::sim {
 
+namespace {
+
+trace::GroupedEstimator estimator_over(const trace::Trace& trace,
+                                       double length_limit) {
+  trace::GroupedEstimator estimator(length_limit);
+  for (const auto& job : trace.jobs) {
+    for (const auto& task : job.tasks) estimator.observe(task);
+  }
+  return estimator;
+}
+
+core::FailureStats failure_stats(const trace::GroupStats& group) {
+  return core::FailureStats{group.mnof, group.mtbf};
+}
+
+}  // namespace
+
 StatsPredictor make_oracle_predictor() {
   return [](const trace::TaskRecord& task, int /*current_priority*/) {
     core::FailureStats stats;
@@ -13,60 +30,30 @@ StatsPredictor make_oracle_predictor() {
   };
 }
 
-void observe_task(core::GroupedEstimator& estimator,
-                  const trace::TaskRecord& task) {
-  core::TaskObservation obs;
-  obs.priority = task.priority;
-  obs.length_s = task.length_s;
-  obs.failures = task.failures_within(task.length_s);
-  obs.intervals_s = task.uninterrupted_intervals(task.length_s);
-  estimator.observe(obs);
-}
-
-core::GroupedEstimator build_estimator(const trace::Trace& trace,
-                                       double length_limit) {
-  core::GroupedEstimator est(length_limit);
-  for (const auto& job : trace.jobs) {
-    for (const auto& task : job.tasks) {
-      observe_task(est, task);
-    }
-  }
-  return est;
-}
-
-StatsPredictor make_grouped_predictor(core::GroupedEstimator estimator) {
-  auto est =
-      std::make_shared<core::GroupedEstimator>(std::move(estimator));
+StatsPredictor make_grouped_predictor(trace::GroupedEstimator estimator) {
+  auto est = std::make_shared<const trace::GroupedEstimator>(estimator);
   return [est](const trace::TaskRecord& /*task*/, int current_priority) {
-    return est->query(current_priority);
+    return failure_stats(est->query(current_priority));
   };
 }
 
 StatsPredictor make_submission_priority_predictor(
-    core::GroupedEstimator estimator) {
-  auto est =
-      std::make_shared<core::GroupedEstimator>(std::move(estimator));
+    trace::GroupedEstimator estimator) {
+  auto est = std::make_shared<const trace::GroupedEstimator>(estimator);
   return [est](const trace::TaskRecord& task, int /*current_priority*/) {
-    return est->query(task.priority);
+    return failure_stats(est->query(task.priority));
   };
 }
 
 StatsPredictor make_grouped_predictor(const trace::Trace& trace,
                                       double length_limit) {
-  auto est = std::make_shared<core::GroupedEstimator>(
-      build_estimator(trace, length_limit));
-  return [est](const trace::TaskRecord& /*task*/, int current_priority) {
-    return est->query(current_priority);
-  };
+  return make_grouped_predictor(estimator_over(trace, length_limit));
 }
 
 StatsPredictor make_submission_priority_predictor(const trace::Trace& trace,
                                                   double length_limit) {
-  auto est = std::make_shared<core::GroupedEstimator>(
-      build_estimator(trace, length_limit));
-  return [est](const trace::TaskRecord& task, int /*current_priority*/) {
-    return est->query(task.priority);
-  };
+  return make_submission_priority_predictor(
+      estimator_over(trace, length_limit));
 }
 
 }  // namespace cloudcr::sim

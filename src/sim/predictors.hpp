@@ -8,8 +8,11 @@
 ///  * Table 6 uses *precise* per-task values (the oracle predictor);
 ///  * Figs 9-10 use per-priority group estimates over the whole trace;
 ///  * Fig 11 restricts the estimation to short tasks (length classes).
+///
+/// The group estimates come from trace::GroupedEstimator, the estimator
+/// Table 7 reports, so a replay plans with exactly the statistics Table 7
+/// prints for its estimation view.
 
-#include "core/estimator.hpp"
 #include "sim/config.hpp"
 #include "trace/estimators.hpp"
 
@@ -19,46 +22,31 @@ namespace cloudcr::sim {
 /// itself ("precise prediction", Table 6). Ignores the current priority.
 StatsPredictor make_oracle_predictor();
 
-/// Priority-grouped estimation over `trace` (Figs 9-10): all sample jobs are
-/// grouped by priority; each task receives its group's MNOF/MTBF. Estimates
-/// are looked up by the task's *current* priority, so adaptive controllers
-/// see fresh statistics after a priority change.
-/// `length_limit` restricts the estimation to tasks at most that long
-/// (Fig 11's "MTBF (as well as MNOF) are estimated using corresponding short
-/// tasks").
-StatsPredictor make_grouped_predictor(
-    const trace::Trace& trace,
-    double length_limit = trace::kNoLengthLimit);
+/// Priority-grouped estimation (Figs 9-10): each task receives the MNOF/MTBF
+/// of its priority's group, or the pooled overall group when that priority
+/// saw no task (GroupedEstimator::query). Estimates are looked up by the
+/// task's *current* priority, so adaptive controllers see fresh statistics
+/// after a priority change.
+StatsPredictor make_grouped_predictor(trace::GroupedEstimator estimator);
 
 /// Like make_grouped_predictor but always answers with the statistics of the
 /// task's *submission* priority (never updates after a change): combined
 /// with AdaptationMode::kStatic this is the Fig 14 static baseline.
 StatsPredictor make_submission_priority_predictor(
+    trace::GroupedEstimator estimator);
+
+/// The grouped predictor over an estimator that observed every task of
+/// `trace`. `length_limit` restricts the estimation to tasks at most that
+/// long (Fig 11's "MTBF (as well as MNOF) are estimated using corresponding
+/// short tasks").
+StatsPredictor make_grouped_predictor(
     const trace::Trace& trace,
     double length_limit = trace::kNoLengthLimit);
 
-/// Builds the GroupedEstimator underlying the predictors (exposed for tests
-/// and benches that want to inspect the estimates, e.g. Table 7).
-core::GroupedEstimator build_estimator(
-    const trace::Trace& trace,
-    double length_limit = trace::kNoLengthLimit);
-
-/// Feeds one task into an estimator being built incrementally — the exact
-/// observation build_estimator derives per task, exposed so the streaming
-/// path can estimate from a trace stream without materializing it
-/// (observation order must match the materialized trace's job/task order
-/// for bit-identical estimates).
-void observe_task(core::GroupedEstimator& estimator,
-                  const trace::TaskRecord& task);
-
-/// Predictor over a pre-built estimator: the streaming path builds the
-/// estimator from a pull stream, then wraps it here. Equivalent to
-/// make_grouped_predictor(trace, limit) when the estimator observed the
-/// same tasks in the same order.
-StatsPredictor make_grouped_predictor(core::GroupedEstimator estimator);
-
-/// Submission-priority variant over a pre-built estimator.
+/// The submission-priority predictor over an estimator that observed every
+/// task of `trace`.
 StatsPredictor make_submission_priority_predictor(
-    core::GroupedEstimator estimator);
+    const trace::Trace& trace,
+    double length_limit = trace::kNoLengthLimit);
 
 }  // namespace cloudcr::sim

@@ -20,39 +20,72 @@ bool structure_matches(const JobRecord& job, StructureFilter filter) {
 
 }  // namespace
 
+GroupedEstimator::GroupedEstimator(double length_limit)
+    : length_limit_(length_limit) {
+  if (!(length_limit > 0.0)) {
+    throw std::invalid_argument("GroupedEstimator: length limit must be > 0");
+  }
+}
+
+void GroupedEstimator::observe(const TaskRecord& task) {
+  if (task.length_s > length_limit_) return;
+  if (task.priority < kMinPriority || task.priority > kMaxPriority) {
+    throw std::out_of_range("GroupedEstimator: priority out of [1,12]");
+  }
+  Sums& group = groups_[static_cast<std::size_t>(task.priority - 1)];
+  const std::size_t failures = task.failures_within(task.length_s);
+  ++group.tasks;
+  group.failures += failures;
+  ++overall_.tasks;
+  overall_.failures += failures;
+  task.for_each_uninterrupted_interval(task.length_s, [&](double v) {
+    group.interval_sum += v;
+    ++group.interval_count;
+    overall_.interval_sum += v;
+    ++overall_.interval_count;
+  });
+}
+
+const GroupedEstimator::Sums& GroupedEstimator::sums_of(int priority) const {
+  if (priority < kMinPriority || priority > kMaxPriority) {
+    throw std::out_of_range("GroupedEstimator: priority out of [1,12]");
+  }
+  return groups_[static_cast<std::size_t>(priority - 1)];
+}
+
+GroupStats GroupedEstimator::stats_of(const Sums& sums) {
+  GroupStats g;
+  g.task_count = sums.tasks;
+  g.failure_count = sums.failures;
+  if (sums.tasks > 0) {
+    g.mnof =
+        static_cast<double>(sums.failures) / static_cast<double>(sums.tasks);
+  }
+  if (sums.interval_count > 0) {
+    g.mtbf = sums.interval_sum / static_cast<double>(sums.interval_count);
+  }
+  return g;
+}
+
+GroupStats GroupedEstimator::group(int priority) const {
+  return stats_of(sums_of(priority));
+}
+
+GroupStats GroupedEstimator::query(int priority) const {
+  const Sums& sums = sums_of(priority);
+  return stats_of(sums.tasks > 0 ? sums : overall_);
+}
+
 std::array<GroupStats, kMaxPriority> estimate_by_priority(
     const Trace& trace, double length_limit, StructureFilter filter) {
-  std::array<GroupStats, kMaxPriority> groups{};
-  std::array<double, kMaxPriority> interval_sum{};
-  std::array<std::size_t, kMaxPriority> interval_count{};
-
+  GroupedEstimator estimator(length_limit);
   for (const auto& job : trace.jobs) {
     if (!structure_matches(job, filter)) continue;
-    for (const auto& task : job.tasks) {
-      if (task.length_s > length_limit) continue;
-      const auto idx = static_cast<std::size_t>(task.priority - 1);
-      if (idx >= groups.size()) {
-        throw std::out_of_range("estimate_by_priority: bad priority");
-      }
-      GroupStats& g = groups[idx];
-      ++g.task_count;
-      g.failure_count += task.failures_within(task.length_s);
-      task.for_each_uninterrupted_interval(task.length_s, [&](double v) {
-        interval_sum[idx] += v;
-        ++interval_count[idx];
-      });
-    }
+    for (const auto& task : job.tasks) estimator.observe(task);
   }
-
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    GroupStats& g = groups[i];
-    if (g.task_count > 0) {
-      g.mnof = static_cast<double>(g.failure_count) /
-               static_cast<double>(g.task_count);
-    }
-    if (interval_count[i] > 0) {
-      g.mtbf = interval_sum[i] / static_cast<double>(interval_count[i]);
-    }
+  std::array<GroupStats, kMaxPriority> groups{};
+  for (int p = kMinPriority; p <= kMaxPriority; ++p) {
+    groups[static_cast<std::size_t>(p - 1)] = estimator.group(p);
   }
   return groups;
 }
@@ -90,22 +123,6 @@ std::map<int, std::vector<double>> intervals_by_priority(const Trace& trace) {
       auto& bucket = out[task.priority];
       task.for_each_uninterrupted_interval(
           task.length_s, [&bucket](double v) { bucket.push_back(v); });
-    }
-  }
-  return out;
-}
-
-std::vector<double> failure_intervals(const Trace& trace, double limit) {
-  std::vector<double> out;
-  for (const auto& job : trace.jobs) {
-    for (const auto& task : job.tasks) {
-      double prev = 0.0;
-      for (double date : task.failure_dates) {
-        if (date > task.length_s) break;
-        const double gap = date - prev;
-        prev = date;
-        if (gap <= limit) out.push_back(gap);
-      }
     }
   }
   return out;

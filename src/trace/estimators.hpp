@@ -9,8 +9,12 @@
 /// paper's Formula (3) needs MNOF, Young's formula needs MTBF. Both are
 /// estimated from history, grouped by priority and optionally restricted to
 /// tasks below a length limit — reproducing the exact structure of Table 7.
+/// GroupedEstimator is the one estimator: Table 7, trace profiles and the
+/// grouped/submission replay predictors all read it, so the statistics a
+/// replay plans with are the ones Table 7 reports.
 
 #include <array>
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <vector>
@@ -33,7 +37,7 @@ struct GroupStats {
 inline constexpr double kNoLengthLimit =
     std::numeric_limits<double>::infinity();
 
-/// Estimates MNOF/MTBF for every priority over tasks with
+/// Accumulates MNOF/MTBF per priority, one task at a time, over tasks with
 /// `length_s <= length_limit`.
 ///
 /// A task's failure count is the number of kill events within its own
@@ -42,11 +46,53 @@ inline constexpr double kNoLengthLimit =
 /// that never fails contributes its full length as one interval). This is
 /// how a trace consumer would measure both statistics from history, and it
 /// reproduces the paper's observation that MTBF inflates with the length
-/// limit while MNOF stays comparatively stable.
+/// limit while MNOF stays comparatively stable. The limit is the paper's
+/// "MTBF (as well as MNOF) are estimated using corresponding short tasks
+/// based on priorities" (Fig 11).
+///
+/// State is per-priority sums only, so estimating from a stream holds O(1)
+/// memory. Estimates are bit-identical for the same tasks in the same order.
+class GroupedEstimator {
+ public:
+  /// Throws std::invalid_argument unless `length_limit` > 0.
+  explicit GroupedEstimator(double length_limit = kNoLengthLimit);
+
+  /// Adds `task` to its priority's group and to the pooled overall group;
+  /// skips it when it is longer than the limit. Throws std::out_of_range for
+  /// a priority outside 1..12. Allocates nothing.
+  void observe(const TaskRecord& task);
+
+  /// The statistics of one priority's group (empty when it saw no task).
+  /// Throws std::out_of_range outside 1..12.
+  [[nodiscard]] GroupStats group(int priority) const;
+
+  /// group(priority), or the pooled overall group when that priority has no
+  /// observations — the grouped predictors' answer for a task.
+  [[nodiscard]] GroupStats query(int priority) const;
+
+ private:
+  struct Sums {
+    std::size_t tasks = 0;
+    std::size_t failures = 0;
+    double interval_sum = 0.0;
+    std::size_t interval_count = 0;
+  };
+
+  [[nodiscard]] static GroupStats stats_of(const Sums& sums);
+  [[nodiscard]] const Sums& sums_of(int priority) const;
+
+  double length_limit_;
+  std::array<Sums, kMaxPriority> groups_{};
+  Sums overall_{};
+};
+
+/// The twelve per-priority groups of a GroupedEstimator that observed every
+/// task of `trace`.
 std::array<GroupStats, kMaxPriority> estimate_by_priority(
     const Trace& trace, double length_limit = kNoLengthLimit);
 
-/// Aggregate of estimate_by_priority over all priorities.
+/// Aggregate of estimate_by_priority over all priorities. Its MTBF is the
+/// task-weighted mean of the group MTBFs, not the pooled overall group.
 GroupStats estimate_overall(const Trace& trace,
                             double length_limit = kNoLengthLimit);
 
@@ -59,12 +105,6 @@ std::array<GroupStats, kMaxPriority> estimate_by_priority(
 
 /// All uninterrupted work intervals observed per priority (Fig 4's CDFs).
 std::map<int, std::vector<double>> intervals_by_priority(const Trace& trace);
-
-/// All failure intervals (gaps between consecutive failures only, no
-/// censored tails) across the whole trace. Intervals larger than `limit`
-/// are dropped when a finite limit is given.
-std::vector<double> failure_intervals(const Trace& trace,
-                                      double limit = kNoLengthLimit);
 
 /// All *uninterrupted work intervals* pooled over every task: gaps between
 /// consecutive failures plus each task's trailing censored interval. This is

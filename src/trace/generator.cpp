@@ -73,10 +73,7 @@ std::optional<JobRecord> TraceGenerator::Cursor::next() {
     job.arrival_s = t_;
     for (auto& task : job.tasks) generator_->attach_failures(task, rng_);
 
-    if (config.sample_job_filter) {
-      const std::size_t failed = job.failed_task_count();
-      if (2 * failed < job.tasks.size()) continue;  // < half the tasks failed
-    }
+    if (config.sample_job_filter && !job.is_sample_job()) continue;
 
     job.id = next_job_id_++;
     for (auto& task : job.tasks) task.job_id = job.id;

@@ -14,14 +14,6 @@ std::size_t TaskRecord::failures_within(double active_horizon) const {
   return static_cast<std::size_t>(it - failure_dates.begin());
 }
 
-std::vector<double> TaskRecord::uninterrupted_intervals(
-    double active_horizon) const {
-  std::vector<double> intervals;
-  for_each_uninterrupted_interval(
-      active_horizon, [&intervals](double v) { intervals.push_back(v); });
-  return intervals;
-}
-
 double JobRecord::total_length() const {
   double acc = 0.0;
   for (const auto& t : tasks) acc += t.length_s;

@@ -81,16 +81,12 @@ struct TaskRecord {
   /// seconds of active time (the trace-recorded failure count).
   [[nodiscard]] std::size_t failures_within(double active_horizon) const;
 
-  /// Uninterrupted work intervals observed during `active_horizon` of active
-  /// time: gaps between consecutive failures plus the trailing censored
-  /// interval from the last failure (or start) to the horizon. This is what
-  /// the paper plots in Fig 4 and feeds MTBF estimation.
-  [[nodiscard]] std::vector<double> uninterrupted_intervals(
-      double active_horizon) const;
-
-  /// Calls `fn(interval)` for each element of
-  /// uninterrupted_intervals(active_horizon), in the same order, without
-  /// building the vector (the trace-wide estimators walk every task).
+  /// Calls `fn(interval)` for each uninterrupted work interval observed
+  /// during `active_horizon` of active time, in order: the gaps between
+  /// consecutive failures, then the trailing censored interval from the last
+  /// failure (or start) to the horizon. This is what the paper plots in
+  /// Fig 4 and feeds MTBF estimation; it builds no container, so the
+  /// estimators can walk every task without allocating.
   template <typename Fn>
   void for_each_uninterrupted_interval(double active_horizon, Fn&& fn) const {
     double prev = 0.0;
@@ -121,6 +117,11 @@ struct JobRecord {
   [[nodiscard]] double total_memory() const;
   /// Number of tasks with at least one failure within their own length.
   [[nodiscard]] std::size_t failed_task_count() const;
+  /// The paper's sample-job rule (Section 5.1): at least half of the job's
+  /// tasks fail within their own length.
+  [[nodiscard]] bool is_sample_job() const {
+    return 2 * failed_task_count() >= tasks.size();
+  }
 };
 
 /// A full synthetic trace: jobs ordered by arrival plus the horizon covered.

@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "api/registry.hpp"
 #include "api/runner.hpp"
+#include "trace/generator.hpp"
 
 namespace cloudcr::api {
 namespace {
@@ -59,6 +62,11 @@ TEST(PolicyRegistry, MalformedArgumentsThrow) {
   EXPECT_THROW((void)registry.make("fixed:abc"), std::invalid_argument);
   EXPECT_THROW((void)registry.make("fixed:-5"), std::invalid_argument);
   EXPECT_THROW((void)registry.make("formula3:bogus"), std::invalid_argument);
+  // Plain keys take no argument: "young:xyz" is not a second spelling of
+  // "young".
+  EXPECT_THROW((void)registry.make("young:xyz"), std::invalid_argument);
+  EXPECT_THROW((void)registry.make("daly:1"), std::invalid_argument);
+  EXPECT_THROW((void)registry.make("none:q"), std::invalid_argument);
 }
 
 TEST(PolicyRegistry, ContainsAndNames) {
@@ -133,6 +141,77 @@ TEST(PredictorRegistry, UnknownNameAndBadArgumentThrow) {
   EXPECT_THROW((void)registry.make_builder("nope"), std::invalid_argument);
   EXPECT_THROW((void)registry.make_builder("grouped:abc"),
                std::invalid_argument);
+  EXPECT_THROW((void)registry.make_builder("oracle:5"),
+               std::invalid_argument);
+}
+
+/// The pooled overall group the grouped predictors fall back to, summed
+/// here independently: every task within `limit`, every interval weighted
+/// alike, in trace order.
+core::FailureStats pooled_overall(const trace::Trace& trace, double limit) {
+  std::size_t tasks = 0, failures = 0, intervals = 0;
+  double interval_sum = 0.0;
+  for (const auto& job : trace.jobs) {
+    for (const auto& task : job.tasks) {
+      if (task.length_s > limit) continue;
+      ++tasks;
+      failures += task.failures_within(task.length_s);
+      task.for_each_uninterrupted_interval(task.length_s, [&](double v) {
+        interval_sum += v;
+        ++intervals;
+      });
+    }
+  }
+  return {static_cast<double>(failures) / static_cast<double>(tasks),
+          interval_sum / static_cast<double>(intervals)};
+}
+
+// The replays plan with Table 7's numbers: for every priority, the grouped
+// and submission predictors answer bit for bit what estimate_by_priority
+// reports for it, and the pooled overall group where it saw no task.
+TEST(PredictorRegistry, GroupedPredictorsAnswerTable7Estimates) {
+  trace::GeneratorConfig cfg;
+  cfg.seed = 2013;
+  cfg.horizon_s = 86400.0;
+  cfg.arrival_rate = 0.02;
+  cfg.sample_job_filter = false;
+  cfg.workload.priority_weights[3] = 0.0;  // priority 4 stays empty
+  const auto trace = trace::TraceGenerator(cfg).generate();
+  const trace::TaskRecord& probe = trace.jobs.front().tasks.front();
+
+  auto& registry = PredictorRegistry::instance();
+  for (const auto& [suffix, limit] :
+       {std::pair<std::string, double>{"", trace::kNoLengthLimit},
+        std::pair<std::string, double>{":1000", 1000.0}}) {
+    SCOPED_TRACE("limit " + suffix);
+    const auto groups = trace::estimate_by_priority(trace, limit);
+    const auto fallback = pooled_overall(trace, limit);
+    const auto expected = [&](int priority) {
+      const auto& g = groups[static_cast<std::size_t>(priority - 1)];
+      return g.empty() ? fallback : core::FailureStats{g.mnof, g.mtbf};
+    };
+    ASSERT_TRUE(groups[3].empty());
+    ASSERT_GE(std::count_if(groups.begin(), groups.end(),
+                            [](const auto& g) { return !g.empty(); }),
+              10);
+
+    const auto grouped = registry.make("grouped" + suffix, trace);
+    for (int p = trace::kMinPriority; p <= trace::kMaxPriority; ++p) {
+      const auto got = grouped(probe, p);
+      EXPECT_EQ(got.mnof, expected(p).mnof) << "priority " << p;
+      EXPECT_EQ(got.mtbf_s, expected(p).mtbf_s) << "priority " << p;
+    }
+
+    const auto submission = registry.make("submission" + suffix, trace);
+    for (const auto& job : trace.jobs) {
+      for (const auto& task : job.tasks) {
+        const int other = task.priority % trace::kMaxPriority + 1;
+        const auto got = submission(task, other);
+        ASSERT_EQ(got.mnof, expected(task.priority).mnof);
+        ASSERT_EQ(got.mtbf_s, expected(task.priority).mtbf_s);
+      }
+    }
+  }
 }
 
 TEST(PredictorRegistry, UnknownNameListsChoicesWithArgGrammar) {
@@ -240,6 +319,14 @@ TEST_F(RunKeyContext, PolicyErrorsNameKeyAndValue) {
   const std::string what = run_error(spec);
   EXPECT_EQ(what.find("scenario key 'policy' = 'no_such_policy': "), 0u)
       << what;
+}
+
+TEST_F(RunKeyContext, ArgumentOnPlainPolicyNamesKeyAndValue) {
+  auto spec = tiny_spec();
+  spec.policy = "young:xyz";
+  EXPECT_EQ(run_error(spec),
+            "scenario key 'policy' = 'young:xyz': policy young: takes no "
+            "argument, got 'xyz'");
 }
 
 TEST_F(RunKeyContext, SchedErrorsNameKeyAndValue) {

@@ -28,7 +28,6 @@
 #include "api/registry.hpp"
 #include "api/runner.hpp"
 #include "api/stream.hpp"
-#include "core/estimator.hpp"
 #include "ingest/google_source.hpp"
 #include "metrics/export.hpp"
 #include "sim/predictors.hpp"
@@ -72,14 +71,14 @@ void register_custom_grouped() {
    public:
     explicit CustomGroupedBuilder(double limit) : estimator_(limit) {}
     void observe_task(const trace::TaskRecord& task) override {
-      sim::observe_task(estimator_, task);
+      estimator_.observe(task);
     }
     [[nodiscard]] sim::StatsPredictor finalize() override {
-      return sim::make_grouped_predictor(std::move(estimator_));
+      return sim::make_grouped_predictor(estimator_);
     }
 
    private:
-    core::GroupedEstimator estimator_;
+    trace::GroupedEstimator estimator_;
   };
   PredictorRegistry::instance().add(
       "custom_grouped",

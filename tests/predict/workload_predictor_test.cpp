@@ -18,12 +18,6 @@ trace::TaskRecord make_task(double length, double input = 0.0,
   return t;
 }
 
-TEST(ExactPredictor, ReturnsTrueLength) {
-  const ExactPredictor p;
-  EXPECT_DOUBLE_EQ(p.predict(make_task(420.0)), 420.0);
-  EXPECT_EQ(p.name(), "exact");
-}
-
 TEST(BiasedPredictor, ScalesByFactor) {
   const BiasedPredictor half(0.5);
   const BiasedPredictor twice(2.0);

@@ -2,10 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "trace/generator.hpp"
 
 namespace cloudcr::trace {
 namespace {
+
+TaskRecord make_task(int priority, double length,
+                     std::vector<double> failure_dates) {
+  TaskRecord t;
+  t.priority = priority;
+  t.length_s = length;
+  t.failure_dates = std::move(failure_dates);
+  return t;
+}
 
 Trace controlled_trace() {
   // Hand-built trace: priority 1 tasks fail often; priority 12 never.
@@ -72,6 +83,9 @@ TEST(Estimators, OverallAggregatesGroups) {
   const auto all = estimate_overall(trace);
   EXPECT_EQ(all.task_count, 2u);
   EXPECT_DOUBLE_EQ(all.mnof, 1.0);  // 2 failures over 2 tasks
+  // Task-weighted mean of the group MTBFs, (100/3 + 400) / 2 — not the
+  // pooled overall interval mean (20 + 20 + 60 + 400) / 4.
+  EXPECT_DOUBLE_EQ(all.mtbf, (100.0 / 3.0 + 400.0) / 2.0);
 }
 
 TEST(Estimators, IntervalsByPriorityCollectsEverything) {
@@ -83,15 +97,6 @@ TEST(Estimators, IntervalsByPriorityCollectsEverything) {
   EXPECT_EQ(by_prio.at(12).size(), 1u);
 }
 
-TEST(Estimators, FailureIntervalsExcludeCensoredTails) {
-  const auto trace = controlled_trace();
-  const auto gaps = failure_intervals(trace);
-  // Only the two real gaps of the harassed task; no censored tails.
-  ASSERT_EQ(gaps.size(), 2u);
-  EXPECT_DOUBLE_EQ(gaps[0], 20.0);
-  EXPECT_DOUBLE_EQ(gaps[1], 20.0);
-}
-
 TEST(Estimators, UninterruptedPoolIncludesCensoredTails) {
   const auto trace = controlled_trace();
   // harassed: 20, 20, 60 (tail); safe: 400 (tail) -> four intervals total.
@@ -99,19 +104,6 @@ TEST(Estimators, UninterruptedPoolIncludesCensoredTails) {
   EXPECT_EQ(pool.size(), 4u);
   const auto short_pool = uninterrupted_interval_pool(trace, 100.0);
   EXPECT_EQ(short_pool.size(), 3u);  // the 400 s tail is dropped
-}
-
-TEST(Estimators, FailureIntervalsRespectLimit) {
-  Trace trace;
-  JobRecord job;
-  TaskRecord t;
-  t.priority = 1;
-  t.length_s = 5000.0;
-  t.failure_dates = {100.0, 3000.0};  // gaps 100 and 2900
-  job.tasks = {t};
-  trace.jobs.push_back(job);
-  EXPECT_EQ(failure_intervals(trace).size(), 2u);
-  EXPECT_EQ(failure_intervals(trace, 1000.0).size(), 1u);
 }
 
 TEST(Estimators, OracleValuesMatchTaskHistory) {
@@ -161,5 +153,101 @@ TEST(Estimators, Table7Structure_MtbfInflatesMnofStays) {
   EXPECT_LT(mnof_inflation, 0.5 * mtbf_inflation);
 }
 
+TEST(GroupedEstimator, EmptyReturnsZeros) {
+  const GroupedEstimator est;
+  for (const GroupStats& s : {est.group(1), est.query(1)}) {
+    EXPECT_TRUE(s.empty());
+    EXPECT_DOUBLE_EQ(s.mnof, 0.0);
+    EXPECT_DOUBLE_EQ(s.mtbf, 0.0);
+  }
+}
+
+TEST(GroupedEstimator, SingleGroupStatistics) {
+  GroupedEstimator est;
+  est.observe(make_task(3, 100.0, {20.0, 50.0}));  // intervals 20, 30, 50
+  est.observe(make_task(3, 200.0, {}));            // one censored 200
+  const auto s = est.query(3);
+  EXPECT_EQ(s.task_count, 2u);
+  EXPECT_EQ(s.failure_count, 2u);
+  EXPECT_DOUBLE_EQ(s.mnof, 1.0);                    // 2 failures / 2 tasks
+  EXPECT_DOUBLE_EQ(s.mtbf, (100.0 + 200.0) / 4.0);  // 4 intervals
+}
+
+TEST(GroupedEstimator, FallsBackToPooledOverall) {
+  GroupedEstimator est;
+  est.observe(make_task(1, 100.0, {25.0, 50.0, 75.0, 100.0}));  // 4 x 25
+  est.observe(make_task(2, 400.0, {}));                         // 1 x 400
+  // Priority 7 has no data; the pooled overall group answers: every
+  // interval weighs the same, (4 * 25 + 400) / 5.
+  EXPECT_TRUE(est.group(7).empty());
+  const auto s = est.query(7);
+  EXPECT_EQ(s.task_count, 2u);
+  EXPECT_DOUBLE_EQ(s.mnof, 2.0);
+  EXPECT_DOUBLE_EQ(s.mtbf, 100.0);
+  // A populated priority answers with its own group.
+  EXPECT_DOUBLE_EQ(est.query(1).mtbf, 25.0);
+}
+
+TEST(GroupedEstimator, LengthLimitFiltersObservations) {
+  GroupedEstimator est(150.0);
+  est.observe(make_task(2, 100.0, {50.0}));  // intervals 50, 50
+  est.observe(make_task(2, 1000.0, {100.0, 200.0, 300.0, 400.0, 500.0,
+                                    600.0, 700.0, 800.0, 900.0}));  // dropped
+  const auto s = est.query(2);
+  EXPECT_EQ(s.task_count, 1u);
+  EXPECT_DOUBLE_EQ(s.mnof, 1.0);
+  EXPECT_DOUBLE_EQ(s.mtbf, 50.0);
+}
+
+TEST(GroupedEstimator, PrioritiesAreIndependent) {
+  GroupedEstimator est;
+  est.observe(make_task(1, 100.0, {10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0,
+                                   80.0, 90.0, 95.0}));
+  est.observe(make_task(12, 100.0, {}));
+  EXPECT_DOUBLE_EQ(est.query(1).mnof, 10.0);
+  EXPECT_DOUBLE_EQ(est.query(12).mnof, 0.0);
+}
+
+TEST(GroupedEstimator, RejectsBadPriority) {
+  GroupedEstimator est;
+  EXPECT_THROW(est.observe(make_task(0, 1.0, {})), std::out_of_range);
+  EXPECT_THROW(est.observe(make_task(13, 1.0, {})), std::out_of_range);
+  EXPECT_THROW((void)est.query(0), std::out_of_range);
+  EXPECT_THROW((void)est.query(13), std::out_of_range);
+  EXPECT_THROW((void)est.group(0), std::out_of_range);
+  EXPECT_THROW((void)est.group(13), std::out_of_range);
+}
+
+TEST(GroupedEstimator, RejectsBadLimit) {
+  for (double limit : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    try {
+      GroupedEstimator est(limit);
+      ADD_FAILURE() << "limit " << limit << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "GroupedEstimator: length limit must be > 0");
+    }
+  }
+}
+
+TEST(GroupedEstimator, MtbfInflationScenario) {
+  // The Table 7 phenomenon in miniature: short harassed tasks plus long safe
+  // tasks blow up MTBF while MNOF moves modestly.
+  GroupedEstimator all_est;
+  GroupedEstimator short_est(1000.0);
+  const auto short_task = make_task(2, 500.0, {100.0, 250.0});
+  const auto long_task = make_task(2, 20000.0, {});
+  for (int i = 0; i < 100; ++i) {
+    all_est.observe(short_task);
+    short_est.observe(short_task);
+    all_est.observe(long_task);
+    short_est.observe(long_task);  // filtered out by the limit
+  }
+  const auto s_short = short_est.query(2);
+  const auto s_all = all_est.query(2);
+  EXPECT_GT(s_all.mtbf, 10.0 * s_short.mtbf);
+  EXPECT_LT(s_all.mnof / s_short.mnof, 1.01);
+}
+
 }  // namespace
 }  // namespace cloudcr::trace
+

@@ -14,8 +14,10 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
+#include "api/scenario.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
 
@@ -30,15 +32,16 @@ void usage(std::ostream& os) {
         "one response line on stdout. See docs/service.md for the grammar.\n";
 }
 
+/// A count flag: an unsigned integer. Signed ("-1") or out-of-range input
+/// exits 2 instead of wrapping to a huge count.
 std::size_t parse_count(const std::string& flag, const char* text) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::cerr << "cloudcr_serve: " << flag << " needs a number, got '" << text
-              << "'\n";
+  try {
+    return static_cast<std::size_t>(
+        cloudcr::api::parse_checked_u64(flag, text));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "cloudcr_serve: " << e.what() << "\n";
     std::exit(2);
   }
-  return static_cast<std::size_t>(value);
 }
 
 }  // namespace
