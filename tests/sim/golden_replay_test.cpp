@@ -95,6 +95,27 @@ std::vector<GoldenCase> golden_cases() {
     c.spec.trace.arrival_rate = 0.05;
     cases.push_back(c);
   }
+  {
+    // Every checkpoint is priced by the writes in flight on a DM-NFS server
+    // drawn per write, and the noise draws interleave with that load.
+    GoldenCase c{"replay_dmnfs_contended.txt",
+                 base_spec("dmnfs_contended", 606)};
+    c.spec.placement = sim::PlacementMode::kForceShared;
+    c.spec.shared_device = storage::DeviceKind::kDmNfs;
+    c.spec.cluster.hosts = 4;
+    c.spec.cluster.vms_per_host = 2;
+    c.spec.storage_noise = 0.10;
+    cases.push_back(c);
+  }
+  {
+    // Every checkpoint contends on the one shared NFS server.
+    GoldenCase c{"replay_shared_nfs_f3.txt",
+                 base_spec("shared_nfs_f3", 707)};
+    c.spec.policy = "formula3";
+    c.spec.placement = sim::PlacementMode::kForceShared;
+    c.spec.shared_device = storage::DeviceKind::kSharedNfs;
+    cases.push_back(c);
+  }
 
   return cases;
 }

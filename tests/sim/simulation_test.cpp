@@ -345,6 +345,44 @@ TEST(Simulation, PlacementModesChangeDeviceCosts) {
   EXPECT_NEAR(rs.outcomes.front().restart_s, 1.45, 1e-6);
 }
 
+// One 10 MB task of 100.05 s checkpointed at 100 s on the shared NFS server:
+// the write costs the task 0.25 s but holds the server for 0.32775 s, so the
+// job ends at 100.3 s while the write still runs. The run ends, and the
+// final probe drain keeps sampling, until the write has left its server.
+SimResult run_write_outlasting_task(double probe_interval_s) {
+  const auto trace =
+      one_job(JobStructure::kSequentialTasks, {make_task(100.05, 10.0, 2)});
+  const core::FixedIntervalPolicy policy(100.0);
+  SimConfig cfg = default_config();
+  cfg.placement = PlacementMode::kForceShared;
+  cfg.shared_kind = storage::DeviceKind::kSharedNfs;
+  cfg.probe_interval_s = probe_interval_s;
+  return Simulation(cfg, policy, make_oracle_predictor()).run(trace);
+}
+
+TEST(Simulation, MakespanWaitsForAWriteThatOutlastsTheLastTask) {
+  const auto res = run_write_outlasting_task(0.0);
+  ASSERT_EQ(res.outcomes.size(), 1u);
+  EXPECT_EQ(res.total_checkpoints, 1u);
+  EXPECT_DOUBLE_EQ(res.outcomes.front().checkpoint_s, 0.25);
+  EXPECT_DOUBLE_EQ(res.outcomes.front().wallclock_s, 100.3);
+  EXPECT_EQ(res.makespan_s, 100.32774999999999);
+}
+
+TEST(Simulation, FinalProbeDrainSamplesWhileAWriteIsInFlight) {
+  // A tick before the write ends, or exactly at its end, is sampled; a
+  // tick after it is not. The write begins during the final drain.
+  for (const double interval : {100.31, 100.32774999999999}) {
+    SCOPED_TRACE(interval);
+    const auto res = run_write_outlasting_task(interval);
+    ASSERT_EQ(res.probes.size(), 1u);
+    EXPECT_EQ(res.probes.front().t_s, interval);
+    EXPECT_EQ(res.probes.front().completed_jobs, 1u);
+    EXPECT_EQ(res.makespan_s, 100.32774999999999);
+  }
+  EXPECT_TRUE(run_write_outlasting_task(100.33).probes.empty());
+}
+
 TEST(Simulation, DeterministicAcrossRuns) {
   trace::GeneratorConfig gcfg;
   gcfg.seed = 21;
