@@ -10,6 +10,7 @@ TraceProfile profile(const trace::Trace& trace) {
   TraceProfile p;
   p.jobs = trace.job_count();
   p.horizon_s = trace.horizon_s;
+  trace::GroupedEstimator estimator;
   for (const auto& job : trace.jobs) {
     (job.structure == trace::JobStructure::kBagOfTasks ? p.bot_jobs
                                                        : p.st_jobs)++;
@@ -21,13 +22,16 @@ TraceProfile profile(const trace::Trace& trace) {
           task.priority <= trace::kMaxPriority) {
         ++p.priority_tasks[static_cast<std::size_t>(task.priority - 1)];
       }
+      estimator.observe(task);
     }
   }
   if (p.horizon_s > 0.0) {
     p.arrival_rate = static_cast<double>(p.jobs) / p.horizon_s;
   }
-  p.by_priority = trace::estimate_by_priority(trace);
-  p.overall = trace::estimate_overall(trace);
+  for (int prio = trace::kMinPriority; prio <= trace::kMaxPriority; ++prio) {
+    p.by_priority[static_cast<std::size_t>(prio - 1)] = estimator.group(prio);
+  }
+  p.overall = estimator.overall();
   return p;
 }
 

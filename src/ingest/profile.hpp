@@ -42,11 +42,13 @@ struct TraceProfile {
   /// Task count per priority 1..12 (index 0 = priority 1).
   std::array<std::size_t, trace::kMaxPriority> priority_tasks{};
 
-  /// Per-priority MNOF/MTBF over the full trace (trace::estimate_by_priority
+  /// Per-priority MNOF/MTBF over the full trace (trace::GroupedEstimator
   /// with no length limit) — the Fig 4 / Table 7 view.
   std::array<trace::GroupStats, trace::kMaxPriority> by_priority{};
 
-  /// Aggregate MNOF/MTBF over every task.
+  /// The estimator's pooled overall group: MNOF/MTBF over every task and
+  /// interval, the statistics a grouped predictor answers for a priority
+  /// with no tasks.
   trace::GroupStats overall;
 
   /// Tasks whose length is a censored accrued-execution tail (only known
@@ -55,8 +57,7 @@ struct TraceProfile {
   std::size_t censored_tails = 0;
 };
 
-/// Computes the profile in one pass over the trace (plus the estimator
-/// passes it reuses).
+/// Computes the profile, estimator included, in one pass over the trace.
 TraceProfile profile(const trace::Trace& trace);
 
 /// Like profile(trace) but also carries the ingestion report's

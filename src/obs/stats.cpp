@@ -159,8 +159,6 @@ Stat sim_ckpt_events_replayed("sim.ckpt_events_replayed",
 Stat sched_decide_calls("sched.decide_calls", StatKind::kCounter);
 Stat sched_wakeups("sched.wakeups", StatKind::kCounter);
 Stat ingest_stream_batches("ingest.stream_batches", StatKind::kCounter);
-Stat storage_opslab_high_water("storage.opslab_high_water",
-                               StatKind::kGauge);
 Stat api_estimation_ns("api.estimation_ns", StatKind::kTimerNs);
 Stat api_replay_ns("api.replay_ns", StatKind::kTimerNs);
 Stat report_evaluate_ns("report.evaluate_ns", StatKind::kTimerNs);

@@ -114,7 +114,6 @@ extern Stat sim_ckpt_events_replayed; ///< checkpoints run through the engine
 extern Stat sched_decide_calls;       ///< SchedulerPolicy::decide invocations
 extern Stat sched_wakeups;            ///< scheduler wake events fired
 extern Stat ingest_stream_batches;    ///< trace-stream chunks pulled
-extern Stat storage_opslab_high_water;///< max live storage ops (gauge)
 extern Stat api_estimation_ns;        ///< host ns in the estimation pass
 extern Stat api_replay_ns;            ///< host ns in the replay pass
 extern Stat report_evaluate_ns;       ///< host ns evaluating report entries

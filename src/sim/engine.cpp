@@ -15,16 +15,4 @@ EventId Engine::schedule_at(double time, EventFn fn) {
   return queue_.schedule(time, std::move(fn));
 }
 
-std::size_t Engine::run_until(double t_end) {
-  std::size_t dispatched = 0;
-  while (!queue_.empty() && queue_.next_time() <= t_end) {
-    auto [time, fn] = queue_.pop();
-    now_ = time;
-    fn();
-    ++dispatched;
-  }
-  if (now_ < t_end) now_ = t_end;
-  return dispatched;
-}
-
 }  // namespace cloudcr::sim

@@ -27,6 +27,17 @@ class Engine {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Takes the seq of an event that is never queued (see
+  /// EventQueue::reserve_seq): work the caller tracks itself keeps the
+  /// place in the (time, seq) order that event would have had.
+  std::uint64_t reserve_seq() noexcept { return queue_.reserve_seq(); }
+
+  /// Seq of the event being (or last) dispatched; with now(), its place in
+  /// the (time, seq) order.
+  [[nodiscard]] std::uint64_t current_seq() const noexcept {
+    return queue_.last_popped_seq();
+  }
+
   /// Runs until the queue drains. Returns the number of events dispatched.
   /// Inline so the pop loop fuses with the queue internals.
   std::size_t run() {
@@ -39,10 +50,6 @@ class Engine {
     }
     return dispatched;
   }
-
-  /// Runs until the queue drains or the clock passes `t_end` (events beyond
-  /// t_end stay queued). Returns the number of events dispatched.
-  std::size_t run_until(double t_end);
 
   /// Dispatches every event strictly before `t_stop`, leaving events at
   /// t_stop (and later) queued and the clock at the last dispatched event.

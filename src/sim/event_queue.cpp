@@ -34,6 +34,7 @@ EventQueue EventQueue::clone() const {
   }
   out.free_head_ = free_head_;
   out.next_seq_ = next_seq_;
+  out.last_popped_seq_ = last_popped_seq_;
   out.live_ = live_;
   out.rebuilds_ = rebuilds_;
   return out;

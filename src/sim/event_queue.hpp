@@ -185,6 +185,18 @@ class EventQueue {
     return (static_cast<EventId>(slot) << 32) | s.gen;
   }
 
+  /// Takes the seq the next schedule() would have assigned, queueing
+  /// nothing. A caller that tracks an elided event itself keys it by this
+  /// (time, seq) slot; every later event keeps the seq it would have had, so
+  /// no tie order moves.
+  std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+
+  /// Seq of the entry the last pop() returned (0 before the first pop):
+  /// with its time, the dispatched event's place in the (time, seq) order.
+  [[nodiscard]] std::uint64_t last_popped_seq() const noexcept {
+    return last_popped_seq_;
+  }
+
   /// Cancels a pending event; returns false if it already ran or was
   /// cancelled.
   bool cancel(EventId id) noexcept {
@@ -213,6 +225,7 @@ class EventQueue {
     const Entry top = b.back();
     b.pop_back();
     --resident_;
+    last_popped_seq_ = top.seq;
     EventFn fn = std::move(slots_[top.slot].fn);
     release_slot(top.slot);
     --live_;
@@ -231,7 +244,7 @@ class EventQueue {
   [[nodiscard]] std::uint64_t rebuilds() const noexcept { return rebuilds_; }
 
   /// Deep copy of the whole queue — entries, slot generations, the seq
-  /// counter, and the calendar tuning (width, cursor, rebuild cadence
+  /// counters, and the calendar tuning (width, cursor, rebuild cadence
   /// counters) — so a restored queue continues with bit-identical pop
   /// order AND bit-identical rebuild accounting. Requires every pending
   /// callback to be trivially copyable (EventFn::clone throws otherwise).
@@ -384,6 +397,7 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t last_popped_seq_ = 0;
   std::size_t live_ = 0;
   // Cold accounting last: keeps the hot scan/slot fields' layout intact.
   std::uint64_t rebuilds_ = 0;    ///< lifetime rebuild count (observability)

@@ -21,7 +21,7 @@ struct SimResult {
   std::size_t total_failures = 0;
   std::size_t total_unschedulable = 0;  ///< tasks rejected at admission
   std::size_t events_dispatched = 0;
-  double makespan_s = 0.0;           ///< last event timestamp
+  double makespan_s = 0.0;           ///< last event or later write end
 
   // -- scheduling-stage aggregates (all zero under fcfs / no scheduler) -----
   double total_sched_wait_s = 0.0;   ///< summed scheduler hold time of jobs

@@ -91,7 +91,10 @@ SimResult Simulation::end_run() {
   const auto obs_drain_t0 = std::chrono::steady_clock::now();
   if (config_.probe_interval_s > 0.0) drain_probes();
   result_.events_dispatched += engine_.run();
-  result_.makespan_s = engine_.now();
+  // A write still in flight after the last event keeps the run open until
+  // it leaves its server. The ramdisk keeps no writes.
+  result_.makespan_s =
+      std::max(engine_.now(), shared_backend_.latest_end_s());
   if (config_.tracer != nullptr) {
     config_.tracer->host_span("drain", obs_drain_t0,
                               std::chrono::steady_clock::now());
@@ -127,16 +130,21 @@ void Simulation::pump_probes_before(double t_stop) {
 }
 
 void Simulation::drain_probes() {
-  // Same chunking across the final drain; stop sampling once the engine has
-  // nothing left (the tail would be all-idle samples).
-  while (!engine_.idle()) {
+  // Same chunking across the final drain; stop sampling once nothing is
+  // left at or after `t`: no event, and no write ending there (the tail
+  // would be all-idle samples). A write can begin during the drain, so the
+  // device's latest end is read again after every chunk.
+  const auto busy_from = [this](double t) {
+    return !engine_.idle() || shared_backend_.latest_end_s() >= t;
+  };
+  while (busy_from(engine_.now())) {
     // Ticks the clock already passed (events at an admitted arrival beyond
     // them ran first) are skipped instead of emitting stale samples.
     while (next_probe_s_ <= engine_.now()) {
       next_probe_s_ += config_.probe_interval_s;
     }
     result_.events_dispatched += engine_.run_until_before(next_probe_s_);
-    if (engine_.idle()) break;
+    if (!busy_from(next_probe_s_)) break;
     take_probe(next_probe_s_);
     next_probe_s_ += config_.probe_interval_s;
   }
@@ -173,8 +181,6 @@ void Simulation::flush_stats() {
   st::sched_decide_calls.add(tally_.sched_decides);
   st::sched_wakeups.add(tally_.sched_wakeups);
   st::ingest_stream_batches.add(tally_.stream_batches);
-  st::storage_opslab_high_water.add(local_backend_.ops_high_water());
-  st::storage_opslab_high_water.add(shared_backend_.ops_high_water());
 }
 
 namespace {
@@ -415,6 +421,11 @@ std::size_t SimSnapshot::approx_bytes() const {
     (void)span;
     bytes += slots.size() * sizeof(std::uint32_t);
   }
+  for (const auto* device : {&local_backend, &shared_backend}) {
+    for (const auto& writes : device->in_flight) {
+      bytes += sizeof(writes) + writes.size() * sizeof(storage::InFlightWrite);
+    }
+  }
   bytes += sched_queue.size() * sizeof(sched::PendingJob);
   bytes += sched_running.size() * sizeof(sched::RunningJob);
   bytes += result.outcomes.size() * sizeof(result.outcomes[0]);
@@ -479,9 +490,8 @@ void Simulation::restore_snapshot(const SimSnapshot& snap) {
   ws_.chunk.clear();
   cluster_ = snap.cluster;
   rng_ = snap.rng;
-  // The devices are members — queued [backend, op] events and
-  // tasks_.backend hold raw pointers to them, so only their mutable state
-  // rewinds.
+  // The devices are members — tasks_.backend holds raw pointers to them,
+  // so only their mutable state rewinds.
   local_backend_.restore_state(snap.local_backend);
   shared_backend_.restore_state(snap.shared_backend);
   pending_min_mb_ = snap.pending_min_mb;
@@ -828,13 +838,12 @@ void Simulation::handle_priority_change(std::size_t task_idx) {
 
 void Simulation::handle_checkpoint_due(std::size_t task_idx) {
   // Checkpoint-run compression. A checkpoint normally costs two engine
-  // events (due -> done) plus a device-completion event; while nothing can
-  // interrupt it, the whole transition is already determined, and on pure
-  // devices (no contention state, no RNG draws) so is every *following*
-  // checkpoint up to the next kill, priority change, or completion. This
-  // loop replays that run inline against a virtual wall clock `vt` and
-  // schedules one engine event for the first wakeup that genuinely needs
-  // the event loop.
+  // events (due -> done); while nothing can interrupt it, the whole
+  // transition is already determined, and on pure devices (no contention
+  // state, no RNG draws) so is every *following* checkpoint up to the next
+  // kill, priority change, or completion. This loop replays that run
+  // inline against a virtual wall clock `vt` and schedules one engine event
+  // for the first wakeup that genuinely needs the event loop.
   //
   // Bit-identity: every float below replays the uncompressed engine's
   // arithmetic expression-for-expression in the same order (arm()'s delta
@@ -844,7 +853,6 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
   // win, as in arm() — hence every strict inequality.
   storage::StorageBackend* backend = tasks_.backend[task_idx];
   const bool pure = backend->begin_is_pure();
-  const bool needs_end_event = backend->completion_affects_pricing();
   const std::size_t host =
       cluster_.vm(static_cast<VmId>(tasks_.vm[task_idx])).host();
   TaskAccounting& acct = tasks_.acct[task_idx];
@@ -856,8 +864,21 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
   while (true) {
     // -- the due transition (begin the write) -------------------------------
     if (tracer != nullptr) trace_end_span(task_idx, vt);  // the "run" span
+    // A contended write keeps its server busy for the full operation time,
+    // independently of the task's fate (a killed task's half-written
+    // checkpoint still occupied the server). Its end is not an event: the
+    // write reserves the seq an end event would take, and the device drops
+    // it once a later write on its server begins past that (time, seq)
+    // slot, which is when such an event would have run. Pure devices keep
+    // no writes, and they are the only ones that reach this line with vt
+    // beyond engine_.now(): contended devices are not pure, so their first
+    // iteration, inside this event, is their last.
+    const storage::WriteInstant at =
+        pure ? storage::WriteInstant{}
+             : storage::WriteInstant{vt, engine_.current_seq(),
+                                     engine_.reserve_seq()};
     const auto ticket =
-        backend->begin_priced(tasks_.ckpt_price[task_idx], host);
+        backend->begin_priced(tasks_.ckpt_price[task_idx], host, at);
     ++acct.checkpoints;
     acct.checkpoint_cost_s += ticket.cost;
     tasks_.hot[task_idx].ckpt_progress_s = tasks_.hot[task_idx].progress_s;
@@ -865,20 +886,6 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
     if (tracer != nullptr) trace_begin_span(task_idx, vt, false);
     tasks_.hot[task_idx].phase_end_active =
         tasks_.hot[task_idx].active_s + ticket.cost;
-
-    // The device stays busy for the full operation time, independently of
-    // the task's fate (a killed task's half-written checkpoint still
-    // occupied the server). Devices whose pricing never reads op state skip
-    // the completion event: it could not influence any result. (Only such
-    // devices ever reach this line with vt beyond engine_.now(): contended
-    // ones are not pure, so their first iteration is also their last.)
-    if (needs_end_event) {
-      const std::uint64_t op = ticket.op_id;
-      engine_.schedule_in(ticket.op_time,
-                          [backend, op] { backend->end_checkpoint(op); });
-    } else {
-      backend->end_checkpoint(ticket.op_id);
-    }
 
     // -- can the write complete uninterrupted? ------------------------------
     const double active0 = tasks_.hot[task_idx].active_s;

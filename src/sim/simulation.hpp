@@ -388,9 +388,11 @@ class Simulation {
 
   Cluster cluster_;
   stats::Rng rng_;
-  /// Held by value: task rows, queued end-of-write events and snapshots
-  /// keep their addresses. begin_run sets them up for each run by
-  /// reassignment; the constructor's devices are placeholders.
+  /// Held by value: task rows and snapshots keep their addresses. The
+  /// shared device holds the writes in flight, so the end of the run and
+  /// the final probe drain read its latest write end. begin_run sets them
+  /// up for each run by reassignment; the constructor's devices are
+  /// placeholders.
   storage::StorageBackend local_backend_;
   storage::StorageBackend shared_backend_;
 

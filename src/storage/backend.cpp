@@ -1,5 +1,6 @@
 #include "storage/backend.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace cloudcr::storage {
@@ -11,45 +12,45 @@ StorageBackend::StorageBackend(DeviceKind kind, stats::Rng& rng, double noise,
     case DeviceKind::kLocalRamdisk:
       break;
     case DeviceKind::kSharedNfs:
-      load_.assign(1, 0);
+      in_flight_.resize(1);
       break;
     case DeviceKind::kDmNfs:
       if (n_servers == 0) {
         throw std::invalid_argument(
             "StorageBackend: DM-NFS needs at least one server");
       }
-      load_.assign(n_servers, 0);
+      in_flight_.resize(n_servers);
       break;
   }
 }
 
 CheckpointTicket StorageBackend::begin_priced(const CheckpointPrice& base,
-                                              std::size_t host_id) {
+                                              std::size_t host_id,
+                                              const WriteInstant& at) {
   CheckpointTicket t;
   if (kind_ == DeviceKind::kLocalRamdisk) {
     t.cost = apply_noise(base.cost_s);
     t.op_time = t.cost;  // a synchronous memory copy
     t.server = host_id;  // data lands on the writing host itself
-    t.op_id = ops_.begin(static_cast<std::uint32_t>(host_id));
     return t;
   }
   if (kind_ == DeviceKind::kDmNfs) {
-    t.server = rng_->uniform_index(load_.size());  // shared NFS: server 0
+    t.server = rng_->uniform_index(in_flight_.size());  // shared NFS: 0
   }
-  // Writers on the server, this op included, are load + 1.
+  // A write whose end precedes the instant has left the server.
+  std::vector<InFlightWrite>& writes = in_flight_[t.server];
+  std::erase_if(writes, [&at](const InFlightWrite& w) {
+    return w.end_s < at.time_s || (w.end_s == at.time_s && w.seq < at.seq);
+  });
+  // Writers on the server, this one included, are writes.size() + 1.
   const double mult =
-      1.0 + kNfsContentionSlope * static_cast<double>(load_[t.server]);
+      1.0 + kNfsContentionSlope * static_cast<double>(writes.size());
   t.cost = apply_noise(base.cost_s * mult);
   t.op_time = apply_noise(base.op_time_s * mult);
-  ++load_[t.server];
-  t.op_id = ops_.begin(static_cast<std::uint32_t>(t.server));
+  const double end_s = at.time_s + t.op_time;
+  writes.push_back({end_s, at.end_seq});
+  latest_end_s_ = std::max(latest_end_s_, end_s);
   return t;
-}
-
-void StorageBackend::end_checkpoint(std::uint64_t op_id) {
-  const std::uint32_t payload = ops_.end(op_id);
-  if (payload == OpSlab::kNone || load_.empty()) return;
-  if (load_[payload] > 0) --load_[payload];
 }
 
 }  // namespace cloudcr::storage

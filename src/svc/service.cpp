@@ -90,12 +90,22 @@ SimService::ArtifactFuture SimService::lookup(
   ArtifactFuture future = promise.get_future().share();
   lru_.push_front(CacheSlot{key, future});
   index_.emplace(key, lru_.begin());
+  return future;
+}
+
+void SimService::fill(std::promise<ArtifactPtr>& promise,
+                      ArtifactPtr artifact) {
+  promise.set_value(std::move(artifact));
+  const std::lock_guard<std::mutex> lock(mu_);
+  trim_locked();
+}
+
+void SimService::trim_locked() {
   while (lru_.size() > options_.cache_capacity) {
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++stats_.evictions;
   }
-  return future;
 }
 
 void SimService::insert_ready(const std::string& key, ArtifactPtr artifact) {
@@ -105,11 +115,7 @@ void SimService::insert_ready(const std::string& key, ArtifactPtr artifact) {
   promise.set_value(std::move(artifact));
   lru_.push_front(CacheSlot{key, promise.get_future().share()});
   index_.emplace(key, lru_.begin());
-  while (lru_.size() > options_.cache_capacity) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
+  trim_locked();
 }
 
 void SimService::abandon(const std::string& key,
@@ -142,7 +148,7 @@ ServiceReply SimService::run(const api::ScenarioSpec& spec) {
       auto artifact = std::make_shared<api::RunArtifact>(
           api::ScenarioRunner(spec).run());
       account_executed(*artifact);
-      promise.set_value(std::move(artifact));
+      fill(promise, std::move(artifact));
     } catch (...) {
       abandon(key, promise, std::current_exception());
       throw;
@@ -182,7 +188,7 @@ std::vector<ServiceReply> SimService::batch(
         auto artifact =
             std::make_shared<api::RunArtifact>(std::move(artifacts[i]));
         account_executed(*artifact);
-        pending[i].promise.set_value(std::move(artifact));
+        fill(pending[i].promise, std::move(artifact));
       }
     } catch (...) {
       // All-or-nothing like BatchRunner itself: no artifact was returned,
@@ -269,7 +275,7 @@ ServiceReply SimService::whatif(const WhatIfRequest& request) {
         const std::lock_guard<std::mutex> lock(mu_);
         ++stats_.snapshot_resumes;
       }
-      promise.set_value(std::move(artifact));
+      fill(promise, std::move(artifact));
     } catch (...) {
       abandon(key, promise, std::current_exception());
       throw;

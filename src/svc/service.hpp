@@ -131,10 +131,18 @@ class SimService {
 
   /// Cache probe: returns the future to wait on and whether this caller
   /// must produce its value by fulfilling `promise` (creator-outside-lock,
-  /// like the batch-layer trace cache).
+  /// like the batch-layer trace cache). A miss opens a slot without
+  /// evicting anything: the cache trims to capacity only when the slot is
+  /// filled, so a request that fails leaves the cache as it was.
   ArtifactFuture lookup(const std::string& key,
                         std::promise<ArtifactPtr>& promise, bool& creator,
                         bool& hit);
+  /// Fulfils a creator's slot, then evicts least recently used entries
+  /// down to the capacity.
+  void fill(std::promise<ArtifactPtr>& promise, ArtifactPtr artifact);
+  /// Evicts least recently used entries down to the capacity; caller holds
+  /// mu_.
+  void trim_locked();
   /// Inserts an already-computed artifact if the key is absent (what-if
   /// base runs bank their artifact without going through lookup()).
   void insert_ready(const std::string& key, ArtifactPtr artifact);

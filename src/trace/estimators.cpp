@@ -95,27 +95,6 @@ std::array<GroupStats, kMaxPriority> estimate_by_priority(
   return estimate_by_priority(trace, length_limit, StructureFilter::kAll);
 }
 
-GroupStats estimate_overall(const Trace& trace, double length_limit) {
-  const auto groups = estimate_by_priority(trace, length_limit);
-  GroupStats all;
-  double weighted_mtbf = 0.0;
-  std::size_t mtbf_tasks = 0;
-  for (const auto& g : groups) {
-    all.task_count += g.task_count;
-    all.failure_count += g.failure_count;
-    weighted_mtbf += g.mtbf * static_cast<double>(g.task_count);
-    if (g.task_count > 0) mtbf_tasks += g.task_count;
-  }
-  if (all.task_count > 0) {
-    all.mnof = static_cast<double>(all.failure_count) /
-               static_cast<double>(all.task_count);
-  }
-  if (mtbf_tasks > 0) {
-    all.mtbf = weighted_mtbf / static_cast<double>(mtbf_tasks);
-  }
-  return all;
-}
-
 std::map<int, std::vector<double>> intervals_by_priority(const Trace& trace) {
   std::map<int, std::vector<double>> out;
   for (const auto& job : trace.jobs) {

@@ -70,6 +70,10 @@ class GroupedEstimator {
   /// observations — the grouped predictors' answer for a task.
   [[nodiscard]] GroupStats query(int priority) const;
 
+  /// The pooled overall group: every observed task and interval, weighted
+  /// alike.
+  [[nodiscard]] GroupStats overall() const { return stats_of(overall_); }
+
  private:
   struct Sums {
     std::size_t tasks = 0;
@@ -90,11 +94,6 @@ class GroupedEstimator {
 /// task of `trace`.
 std::array<GroupStats, kMaxPriority> estimate_by_priority(
     const Trace& trace, double length_limit = kNoLengthLimit);
-
-/// Aggregate of estimate_by_priority over all priorities. Its MTBF is the
-/// task-weighted mean of the group MTBFs, not the pooled overall group.
-GroupStats estimate_overall(const Trace& trace,
-                            double length_limit = kNoLengthLimit);
 
 /// Filter for the per-structure breakdown of Table 7.
 enum class StructureFilter { kAll, kSequentialOnly, kBagOfTasksOnly };

@@ -66,6 +66,10 @@ TEST(Profile, ComputesShapeAndMarginals) {
   EXPECT_DOUBLE_EQ(p.by_priority[4].mnof, 0.0);
   EXPECT_DOUBLE_EQ(p.by_priority[4].mtbf, 20.0);
   EXPECT_EQ(p.overall.task_count, 3u);
+  // The pooled overall group a grouped predictor answers for an empty
+  // priority: every interval weighted alike, (10 + 20 + 20 + 20 + 20) / 5.
+  EXPECT_EQ(p.overall.failure_count, 2u);
+  EXPECT_DOUBLE_EQ(p.overall.mtbf, 18.0);
 }
 
 TEST(Profile, EmptyTraceIsSafe) {
@@ -84,7 +88,7 @@ TEST(Profile, PrintsPerPriorityTable) {
   const std::string out = os.str();
   EXPECT_NE(out.find("== tiny =="), std::string::npos);
   EXPECT_NE(out.find("arrival rate: 0.0200 jobs/s"), std::string::npos);
-  EXPECT_NE(out.find("MTBF"), std::string::npos);
+  EXPECT_NE(out.find("overall MNOF 0.667, MTBF 18.0 s"), std::string::npos);
   // Only the populated priorities appear.
   EXPECT_NE(out.find("|        1 |"), std::string::npos);
   EXPECT_NE(out.find("|        5 |"), std::string::npos);

@@ -84,7 +84,6 @@ TEST(StatsRegistry, BuiltInsAreAlwaysPresent) {
   reset_stats();
   EXPECT_EQ(value_of("sim.events_popped"), 0u);
   EXPECT_EQ(value_of("sched.decide_calls"), 0u);
-  EXPECT_EQ(value_of("storage.opslab_high_water"), 0u);
   EXPECT_EQ(value_of("api.replay_ns"), 0u);
 }
 

@@ -10,9 +10,9 @@
 //
 // Each case runs the hour spec (seed 7, one hour at 0.116 arrivals/s) plus a
 // few keys, through ScenarioRunner with a fresh ReplayWorkspace, and pins:
-//   - the registry lines of the layers a replay feeds (sim, sched, ingest,
-//     storage): events popped, inline checkpoint runs, placement scans,
-//     decide() calls;
+//   - the registry lines of the layers a replay feeds (sim, sched, ingest):
+//     events popped, inline checkpoint runs, placement scans, decide()
+//     calls;
 //   - the artifact's events, checkpoints, failures, trace reads, rows read;
 //   - the workspace's task rows and job slots after the run. The workspace
 //     is cleared at the start of a run, so these are the run's high-water
@@ -22,12 +22,14 @@
 // The cases: the plain hour; the four schedulers that hold jobs back
 // (backfill EASY and conservative, preempt with requeue and with
 // checkpoint) on a 4x2-VM cluster small enough to queue; DM-NFS, which
-// prices each checkpoint by per-server load, so every checkpoint costs a
-// device-completion event; a 6-h Google-format log through the ingest
-// parser; and a day at the hour's seed and rate, streamed from the
-// generator (it stands in for the month, too slow for a Debug suite). The
-// conservative literals pin today's behaviour, in which a running job past
-// its estimate counts as memory free now; fixing that will move them.
+// prices each checkpoint by the writes in flight on its server, so every
+// checkpoint there costs its own due event (but no event for its write's
+// end: the device retires its writes itself); a 6-h Google-format log
+// through the ingest parser; and a day at the hour's seed and rate,
+// streamed from the generator (it stands in for the month, too slow for a
+// Debug suite). The conservative literals pin today's behaviour, in which a
+// running job past its estimate counts as memory free now; fixing that will
+// move them.
 
 #include <fstream>
 #include <sstream>
@@ -74,7 +76,7 @@ std::string replay_registry_text() {
   std::istringstream lines(all.str());
   std::string out;
   for (std::string line; std::getline(lines, line);) {
-    for (const char* layer : {"sim.", "sched.", "ingest.", "storage."}) {
+    for (const char* layer : {"sim.", "sched.", "ingest."}) {
       if (line.rfind(layer, 0) == 0) {
         out += line;
         out += '\n';
@@ -136,8 +138,7 @@ TEST(WorkCounters, HourReplay) {
       "sim.events_popped counter 5721\n"
       "sim.placement_scans counter 1799\n"
       "sim.queue_rebuilds counter 5\n"
-      "sim.rows_recycled counter 656\n"
-      "storage.opslab_high_water gauge 1\n";
+      "sim.rows_recycled counter 656\n";
   expect_pinned("", registry, {5721, 77559, 1495, 2, 1312, 390, 94});
 }
 
@@ -151,8 +152,7 @@ TEST(WorkCounters, HourReplayEasyBackfill) {
       "sim.events_popped counter 5724\n"
       "sim.placement_scans counter 1816\n"
       "sim.queue_rebuilds counter 5\n"
-      "sim.rows_recycled counter 656\n"
-      "storage.opslab_high_water gauge 1\n";
+      "sim.rows_recycled counter 656\n";
   expect_pinned(std::string("sched=backfill:easy\n") + kSmallCluster, registry,
                 {5724, 77559, 1495, 2, 1312, 397, 102});
 }
@@ -167,8 +167,7 @@ TEST(WorkCounters, HourReplayConservativeBackfill) {
       "sim.events_popped counter 5724\n"
       "sim.placement_scans counter 1846\n"
       "sim.queue_rebuilds counter 5\n"
-      "sim.rows_recycled counter 656\n"
-      "storage.opslab_high_water gauge 1\n";
+      "sim.rows_recycled counter 656\n";
   expect_pinned(std::string("sched=backfill:conservative\n") + kSmallCluster,
                 registry, {5724, 77559, 1495, 2, 1312, 397, 100});
 }
@@ -183,8 +182,7 @@ TEST(WorkCounters, HourReplayPreemptRequeue) {
       "sim.events_popped counter 5864\n"
       "sim.placement_scans counter 1891\n"
       "sim.queue_rebuilds counter 5\n"
-      "sim.rows_recycled counter 656\n"
-      "storage.opslab_high_water gauge 1\n";
+      "sim.rows_recycled counter 656\n";
   expect_pinned(std::string("sched=preempt\n") + kSmallCluster, registry,
                 {5864, 80878, 1513, 2, 1312, 403, 102});
 }
@@ -199,8 +197,7 @@ TEST(WorkCounters, HourReplayPreemptCheckpoint) {
       "sim.events_popped counter 5791\n"
       "sim.placement_scans counter 1864\n"
       "sim.queue_rebuilds counter 5\n"
-      "sim.rows_recycled counter 656\n"
-      "storage.opslab_high_water gauge 1\n";
+      "sim.rows_recycled counter 656\n";
   expect_pinned(std::string("sched=preempt:ckpt\n") + kSmallCluster, registry,
                 {5791, 77559, 1496, 2, 1312, 398, 99});
 }
@@ -215,12 +212,11 @@ TEST(WorkCounters, HourReplayDmNfs) {
       "sched.wakeups counter 0\n"
       "sim.ckpt_events_replayed counter 70\n"
       "sim.ckpt_runs_compressed counter 34179\n"
-      "sim.events_popped counter 72448\n"
+      "sim.events_popped counter 38199\n"
       "sim.placement_scans counter 1844\n"
       "sim.queue_rebuilds counter 6\n"
-      "sim.rows_recycled counter 656\n"
-      "storage.opslab_high_water gauge 20\n";
-  expect_pinned(spec, registry, {72448, 34249, 1540, 2, 1312, 393, 97});
+      "sim.rows_recycled counter 656\n";
+  expect_pinned(spec, registry, {38199, 34249, 1540, 2, 1312, 393, 97});
 }
 
 TEST(WorkCounters, GoogleSixHourReplay) {
@@ -231,13 +227,12 @@ TEST(WorkCounters, GoogleSixHourReplay) {
       "sched.wakeups counter 0\n"
       "sim.ckpt_events_replayed counter 223\n"
       "sim.ckpt_runs_compressed counter 214459\n"
-      "sim.events_popped counter 33193\n"
+      "sim.events_popped counter 33128\n"
       "sim.placement_scans counter 9993\n"
       "sim.queue_rebuilds counter 5\n"
-      "sim.rows_recycled counter 3612\n"
-      "storage.opslab_high_water gauge 2\n";
+      "sim.rows_recycled counter 3612\n";
   expect_pinned("trace.source=google:" + google_fixture() + "\n", registry,
-                {33193, 214682, 8740, 1, 6799, 537, 94});
+                {33128, 214682, 8740, 1, 6799, 537, 94});
 }
 
 TEST(WorkCounters, StreamedDayReplay) {
@@ -247,13 +242,12 @@ TEST(WorkCounters, StreamedDayReplay) {
       "sched.wakeups counter 0\n"
       "sim.ckpt_events_replayed counter 915\n"
       "sim.ckpt_runs_compressed counter 1836460\n"
-      "sim.events_popped counter 136381\n"
+      "sim.events_popped counter 136107\n"
       "sim.placement_scans counter 43924\n"
       "sim.queue_rebuilds counter 9\n"
-      "sim.rows_recycled counter 14620\n"
-      "storage.opslab_high_water gauge 2\n";
+      "sim.rows_recycled counter 14620\n";
   expect_pinned("trace.horizon_s=86400\n", registry,
-                {136381, 1837375, 36497, 2, 29240, 2273, 542});
+                {136107, 1837375, 36497, 2, 29240, 2273, 542});
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace cloudcr::sim {
@@ -36,19 +37,21 @@ TEST(Engine, RejectsPastScheduling) {
   EXPECT_THROW(e.schedule_in(-1.0, [] {}), std::invalid_argument);
 }
 
-TEST(Engine, RunUntilStopsAtBoundary) {
+TEST(Engine, CurrentSeqIsTheDispatchedEventsSeq) {
+  // Two events at one time: each sees its own seq, and a seq reserved while
+  // the first runs follows every seq already handed out.
   Engine e;
-  int fired = 0;
-  e.schedule_at(1.0, [&] { ++fired; });
-  e.schedule_at(2.0, [&] { ++fired; });
-  e.schedule_at(10.0, [&] { ++fired; });
-  const std::size_t n = e.run_until(5.0);
-  EXPECT_EQ(n, 2u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(e.now(), 5.0);
-  EXPECT_EQ(e.pending_events(), 1u);
+  std::vector<std::uint64_t> seen;
+  std::uint64_t reserved = 0;
+  e.schedule_at(1.0, [&] {
+    seen.push_back(e.current_seq());
+    reserved = e.reserve_seq();
+  });
+  e.schedule_at(1.0, [&] { seen.push_back(e.current_seq()); });
   e.run();
-  EXPECT_EQ(fired, 3);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_LT(seen[0], seen[1]);
+  EXPECT_GT(reserved, seen[1]);
 }
 
 TEST(Engine, CancelWorksThroughEngine) {

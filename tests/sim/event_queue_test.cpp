@@ -27,6 +27,21 @@ TEST(EventQueue, StableAtEqualTimestamps) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+TEST(EventQueue, ReservedSeqIsSkippedAndPopsReportTheirSeq) {
+  // A reserved seq sits between the events scheduled around it without
+  // queueing anything: the next schedule takes the seq after it.
+  EventQueue q;
+  q.schedule(5.0, [] {});
+  EXPECT_EQ(q.reserve_seq(), 1u);
+  q.schedule(5.0, [] {});
+  EXPECT_EQ(q.size(), 2u);
+  q.pop();
+  EXPECT_EQ(q.last_popped_seq(), 0u);
+  q.pop();
+  EXPECT_EQ(q.last_popped_seq(), 2u);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue q;
   int fired = 0;

@@ -9,6 +9,16 @@
 namespace cloudcr::storage {
 namespace {
 
+/// Writes each server of `b` holds (begun and not yet dropped by a later
+/// begin on that server).
+std::vector<std::size_t> held_writes(const StorageBackend& b) {
+  BackendState state;
+  b.capture_state(state);
+  std::vector<std::size_t> held;
+  for (const auto& writes : state.in_flight) held.push_back(writes.size());
+  return held;
+}
+
 TEST(LocalRamdisk, PricesFromCalibrationWithoutNoise) {
   stats::Rng rng(1);
   StorageBackend b(DeviceKind::kLocalRamdisk, rng);
@@ -16,9 +26,6 @@ TEST(LocalRamdisk, PricesFromCalibrationWithoutNoise) {
   EXPECT_DOUBLE_EQ(t.cost, 0.632);
   EXPECT_DOUBLE_EQ(t.op_time, t.cost);
   EXPECT_EQ(t.server, 3u);  // data lands on the writing host
-  EXPECT_EQ(b.active_ops(), 1u);
-  b.end_checkpoint(t.op_id);
-  EXPECT_EQ(b.active_ops(), 0u);
 }
 
 TEST(LocalRamdisk, NoContentionUnderParallelWriters) {
@@ -30,14 +37,14 @@ TEST(LocalRamdisk, NoContentionUnderParallelWriters) {
   EXPECT_EQ(b.server_count(), 0u);  // no shared server to contend on
 }
 
-TEST(LocalRamdisk, EndIsIdempotent) {
+TEST(LocalRamdisk, KeepsNoWrites) {
+  // A synchronous copy is over when begin returns: nothing is held, and the
+  // device's latest write end never moves.
   stats::Rng rng(1);
   StorageBackend b(DeviceKind::kLocalRamdisk, rng);
-  const auto t = b.begin_checkpoint(10.0, 0);
-  b.end_checkpoint(t.op_id);
-  b.end_checkpoint(t.op_id);  // no effect
-  b.end_checkpoint(9999);     // unknown id ignored
-  EXPECT_EQ(b.active_ops(), 0u);
+  b.begin_checkpoint(10.0, 0, {5.0, 1, 2});
+  EXPECT_TRUE(held_writes(b).empty());
+  EXPECT_EQ(b.latest_end_s(), 0.0);
 }
 
 TEST(LocalRamdisk, IsPureOnlyWithoutNoise) {
@@ -46,24 +53,24 @@ TEST(LocalRamdisk, IsPureOnlyWithoutNoise) {
   const StorageBackend noisy(DeviceKind::kLocalRamdisk, rng, 0.1);
   EXPECT_TRUE(plain.begin_is_pure());
   EXPECT_FALSE(noisy.begin_is_pure());
-  EXPECT_FALSE(plain.completion_affects_pricing());
 }
 
 TEST(SharedNfs, CostScalesWithParallelDegree) {
   stats::Rng rng(1);
   StorageBackend b(DeviceKind::kSharedNfs, rng);
-  const auto t1 = b.begin_checkpoint(160.0, 0);
+  const auto t1 = b.begin_checkpoint(160.0, 0, {0.0, 0, 1});
   EXPECT_DOUBLE_EQ(t1.cost, 1.67);
-  const auto t2 = b.begin_checkpoint(160.0, 1);
+  const auto t2 = b.begin_checkpoint(160.0, 1, {0.0, 2, 3});
   EXPECT_DOUBLE_EQ(t2.cost, 1.67 * 2.0);  // second concurrent writer
-  const auto t3 = b.begin_checkpoint(160.0, 2);
+  const auto t3 = b.begin_checkpoint(160.0, 2, {1.0, 4, 5});
   EXPECT_DOUBLE_EQ(t3.cost, 1.67 * 3.0);
-  b.end_checkpoint(t1.op_id);
-  b.end_checkpoint(t2.op_id);
-  const auto t4 = b.begin_checkpoint(160.0, 3);
+  // The first two writes end at t1.op_time and t2.op_time; the third runs
+  // well past both.
+  ASSERT_LT(t1.op_time, t2.op_time);
+  const auto t4 = b.begin_checkpoint(160.0, 3, {t2.op_time + 0.5, 6, 7});
   EXPECT_DOUBLE_EQ(t4.cost, 1.67 * 2.0);  // back to two writers
   EXPECT_EQ(t4.server, 0u);               // one server for every writer
-  EXPECT_EQ(b.server_load(0), 2u);
+  EXPECT_EQ(held_writes(b), std::vector<std::size_t>{2});
 }
 
 TEST(SharedNfs, OpTimeScalesWithContentionToo) {
@@ -73,6 +80,7 @@ TEST(SharedNfs, OpTimeScalesWithContentionToo) {
   EXPECT_DOUBLE_EQ(t1.op_time, 3.68);
   const auto t2 = b.begin_checkpoint(162.0, 1);
   EXPECT_DOUBLE_EQ(t2.op_time, 3.68 * 2.0);
+  EXPECT_EQ(b.latest_end_s(), 3.68 * 2.0);  // both began at time 0
 }
 
 TEST(SharedNfs, DefaultSlopeTracksTable2Shape) {
@@ -114,11 +122,14 @@ TEST(DmNfs, SpreadsLoadAcrossServers) {
   std::vector<CheckpointTicket> tickets;
   for (int i = 0; i < 5; ++i) tickets.push_back(b.begin_checkpoint(160.0, 0));
   // With 32 servers and 5 writers, the expected max per-server load is ~1;
-  // at minimum the total across servers must equal the ops in flight.
+  // at minimum the total across servers must equal the writes in flight,
+  // each held on the server it was drawn to.
+  const auto held = held_writes(b);
+  ASSERT_EQ(held.size(), b.server_count());
   std::size_t total = 0;
-  for (std::size_t s = 0; s < b.server_count(); ++s) total += b.server_load(s);
+  for (const std::size_t n : held) total += n;
   EXPECT_EQ(total, 5u);
-  EXPECT_EQ(b.active_ops(), 5u);
+  for (const auto& t : tickets) EXPECT_GE(held[t.server], 1u);
 }
 
 TEST(DmNfs, CollisionFreeWritersPriceAsSingle) {
@@ -141,14 +152,15 @@ TEST(DmNfs, SameServerWritersContend) {
   EXPECT_DOUBLE_EQ(t2.cost, 1.67 * 2.0);
 }
 
-TEST(DmNfs, EndReleasesTheRightServer) {
+TEST(DmNfs, AnEndedWriteLeavesItsServer) {
+  // One server: the second write begins after the first has ended, so it
+  // prices alone and the first is dropped.
   stats::Rng rng(5);
-  StorageBackend b(DeviceKind::kDmNfs, rng, 0.0, 4);
-  const auto t = b.begin_checkpoint(160.0, 0);
-  EXPECT_EQ(b.server_load(t.server), 1u);
-  b.end_checkpoint(t.op_id);
-  EXPECT_EQ(b.server_load(t.server), 0u);
-  EXPECT_EQ(b.active_ops(), 0u);
+  StorageBackend b(DeviceKind::kDmNfs, rng, 0.0, 1);
+  const auto t1 = b.begin_checkpoint(160.0, 0, {0.0, 0, 1});
+  const auto t2 = b.begin_checkpoint(160.0, 0, {t1.op_time + 1.0, 2, 3});
+  EXPECT_DOUBLE_EQ(t2.cost, 1.67);
+  EXPECT_EQ(held_writes(b), std::vector<std::size_t>{1});
 }
 
 TEST(Backend, NoiseStaysWithinConfiguredBand) {
@@ -158,7 +170,6 @@ TEST(Backend, NoiseStaysWithinConfiguredBand) {
     const auto t = b.begin_checkpoint(160.0, 0);
     EXPECT_GE(t.cost, 0.632 * 0.9 - 1e-12);
     EXPECT_LE(t.cost, 0.632 * 1.1 + 1e-12);
-    b.end_checkpoint(t.op_id);
   }
 }
 
@@ -174,22 +185,92 @@ TEST(Backend, KindAndMigrationTypeFollowTheConstructor) {
             MigrationType::kB);
 }
 
-TEST(Backend, CaptureRestoreRewindsLoadAndOps) {
+// -- the (time, seq) tie rule -------------------------------------------------
+//
+// A write ends at (begin time + op time, the seq reserved for its end). A
+// begin dispatched at event (t, s) finds it gone iff its end is before t, or
+// at t with a lower seq than s: exactly when its end event would have run
+// first.
+
+TEST(TieRule, WriteEndingAtTheInstantWithALowerSeqHasLeft) {
+  stats::Rng rng(1);
+  StorageBackend b(DeviceKind::kSharedNfs, rng);
+  const auto t1 = b.begin_checkpoint(160.0, 0, {0.0, 0, 5});
+  const auto t2 = b.begin_checkpoint(160.0, 1, {t1.op_time, 6, 7});
+  EXPECT_DOUBLE_EQ(t2.cost, 1.67);
+  EXPECT_EQ(held_writes(b), std::vector<std::size_t>{1});
+}
+
+TEST(TieRule, WriteEndingAtTheInstantWithAHigherSeqStillCounts) {
+  stats::Rng rng(1);
+  StorageBackend b(DeviceKind::kSharedNfs, rng);
+  const auto t1 = b.begin_checkpoint(160.0, 0, {0.0, 0, 9});
+  const auto t2 = b.begin_checkpoint(160.0, 1, {t1.op_time, 6, 10});
+  EXPECT_DOUBLE_EQ(t2.cost, 1.67 * 2.0);
+  EXPECT_EQ(held_writes(b), std::vector<std::size_t>{2});
+}
+
+TEST(TieRule, WriteEndingAfterTheInstantStillCounts) {
+  stats::Rng rng(1);
+  StorageBackend b(DeviceKind::kSharedNfs, rng);
+  const auto t1 = b.begin_checkpoint(160.0, 0, {0.0, 0, 1});
+  const double just_before = std::nextafter(t1.op_time, 0.0);
+  const auto t2 = b.begin_checkpoint(160.0, 1, {just_before, 6, 7});
+  EXPECT_DOUBLE_EQ(t2.cost, 1.67 * 2.0);
+}
+
+TEST(TieRule, WritesOnOtherServersNeverCount) {
+  // Seed 12 draws servers 1, 1, 3 from four: the write on server 3 prices
+  // alone while the two on server 1 are still running.
+  stats::Rng rng(12);
+  StorageBackend b(DeviceKind::kDmNfs, rng, 0.0, 4);
+  const auto t1 = b.begin_checkpoint(160.0, 3, {0.0, 0, 1});
+  const auto t2 = b.begin_checkpoint(160.0, 4, {0.0, 2, 3});
+  const auto t3 = b.begin_checkpoint(160.0, 5, {0.0, 4, 5});
+  ASSERT_EQ(t1.server, 1u);
+  ASSERT_EQ(t2.server, 1u);
+  ASSERT_EQ(t3.server, 3u);
+  EXPECT_DOUBLE_EQ(t2.cost, 1.67 * 2.0);
+  EXPECT_DOUBLE_EQ(t3.cost, 1.67);
+  EXPECT_EQ(held_writes(b), (std::vector<std::size_t>{0, 2, 0, 1}));
+}
+
+TEST(TieRule, ABeginDropsEndedWritesOnlyFromItsOwnServer) {
+  // Both writes on server 1 have ended when the write on server 3 begins,
+  // but only a begin on server 1 would drop them.
+  stats::Rng rng(12);
+  StorageBackend b(DeviceKind::kDmNfs, rng, 0.0, 4);
+  b.begin_checkpoint(160.0, 3, {0.0, 0, 1});
+  const auto t2 = b.begin_checkpoint(160.0, 4, {0.0, 2, 3});
+  const double later = t2.op_time + 1.0;
+  const auto t3 = b.begin_checkpoint(160.0, 5, {later, 4, 5});
+  ASSERT_EQ(t3.server, 3u);
+  EXPECT_DOUBLE_EQ(t3.cost, 1.67);
+  EXPECT_EQ(held_writes(b), (std::vector<std::size_t>{0, 2, 0, 1}));
+  EXPECT_EQ(b.latest_end_s(), later + t3.op_time);
+}
+
+TEST(Backend, CaptureRestoreRoundTripsTheWritesInFlight) {
   stats::Rng rng(9);
-  StorageBackend b(DeviceKind::kDmNfs, rng, 0.0, 2);
-  const auto t1 = b.begin_checkpoint(160.0, 0);
+  StorageBackend b(DeviceKind::kSharedNfs, rng);
+  const auto t1 = b.begin_checkpoint(160.0, 0, {0.0, 0, 1});
   BackendState state;
   b.capture_state(state);
-  const auto t2 = b.begin_checkpoint(160.0, 0);
-  b.end_checkpoint(t1.op_id);
+  ASSERT_EQ(state.in_flight.size(), 1u);
+  ASSERT_EQ(state.in_flight[0].size(), 1u);
+  EXPECT_EQ(state.in_flight[0][0].end_s, t1.op_time);
+  EXPECT_EQ(state.in_flight[0][0].seq, 1u);
+  EXPECT_EQ(state.latest_end_s, t1.op_time);
+
+  // A later, longer write moves the device on; restoring rewinds it.
+  b.begin_checkpoint(240.0, 0, {0.5, 2, 3});
+  EXPECT_GT(b.latest_end_s(), t1.op_time);
   b.restore_state(state);
-  EXPECT_EQ(b.active_ops(), 1u);
-  EXPECT_EQ(b.server_load(t1.server), 1u);
-  b.end_checkpoint(t2.op_id);  // began after the capture: unknown now
-  EXPECT_EQ(b.active_ops(), 1u);
-  b.end_checkpoint(t1.op_id);
-  EXPECT_EQ(b.active_ops(), 0u);
-  EXPECT_EQ(b.server_load(t1.server), 0u);
+  EXPECT_EQ(b.latest_end_s(), t1.op_time);
+  EXPECT_EQ(held_writes(b), std::vector<std::size_t>{1});
+  // The restored write still contends, exactly as before the capture.
+  const auto again = b.begin_checkpoint(160.0, 0, {0.5, 2, 3});
+  EXPECT_DOUBLE_EQ(again.cost, 1.67 * 2.0);
 }
 
 // -- RNG draw order -----------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -64,6 +65,28 @@ TEST(LruBoundsTest, ArtifactCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
   EXPECT_EQ(after.trace_reads, before.trace_reads);
   EXPECT_EQ(after.evictions, before.evictions);
+}
+
+TEST(LruBoundsTest, FailedRequestLeavesTheCacheAsItWas) {
+  // One slot holds the daly run. A malformed request opens a slot of its
+  // own, through run() and through batch(), and fails; the daly entry must
+  // survive both and answer the repeat without a replay.
+  SimService service({.cache_capacity = 1});
+  api::ScenarioSpec daly = small_spec(35);
+  daly.policy = "daly";
+  daly.trace.horizon_s = 600.0;
+  api::ScenarioSpec malformed = daly;
+  malformed.policy = "young:xyz";
+
+  EXPECT_FALSE(service.run(daly).cached);
+  EXPECT_THROW(service.run(malformed), std::invalid_argument);
+  EXPECT_ANY_THROW(service.batch({malformed}));
+  const ServiceStats before = service.stats();
+  EXPECT_TRUE(service.run(daly).cached);
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.evictions, 0u);
+  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
+  EXPECT_EQ(after.trace_reads, before.trace_reads);
 }
 
 TEST(LruBoundsTest, EvictedForkIsCapturedAgain) {

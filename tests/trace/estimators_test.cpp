@@ -80,12 +80,18 @@ TEST(Estimators, StructureFilterSeparatesStAndBot) {
 
 TEST(Estimators, OverallAggregatesGroups) {
   const auto trace = controlled_trace();
-  const auto all = estimate_overall(trace);
+  GroupedEstimator estimator;
+  for (const auto& job : trace.jobs) {
+    for (const auto& task : job.tasks) estimator.observe(task);
+  }
+  const auto all = estimator.overall();
   EXPECT_EQ(all.task_count, 2u);
+  EXPECT_EQ(all.failure_count, 2u);
   EXPECT_DOUBLE_EQ(all.mnof, 1.0);  // 2 failures over 2 tasks
-  // Task-weighted mean of the group MTBFs, (100/3 + 400) / 2 — not the
-  // pooled overall interval mean (20 + 20 + 60 + 400) / 4.
-  EXPECT_DOUBLE_EQ(all.mtbf, (100.0 / 3.0 + 400.0) / 2.0);
+  // The pooled interval mean (20 + 20 + 60 + 400) / 4, every interval
+  // weighted alike — not the task-weighted mean of the group MTBFs,
+  // (100/3 + 400) / 2.
+  EXPECT_DOUBLE_EQ(all.mtbf, 125.0);
 }
 
 TEST(Estimators, IntervalsByPriorityCollectsEverything) {
