@@ -36,6 +36,13 @@ std::string unescape_string(const std::string& key, const std::string& s) {
   return out;
 }
 
+/// Refuses a value that parsed but would replay wrongly, naming its key.
+[[noreturn]] void refuse(const std::string& key, const std::string& value,
+                         const char* why) {
+  throw std::invalid_argument("scenario key '" + key + "' = '" + value +
+                              "': " + why);
+}
+
 bool parse_bool(const std::string& key, const std::string& value) {
   if (value == "true" || value == "1") return true;
   if (value == "false" || value == "0") return false;
@@ -92,10 +99,11 @@ void serialize_trace(LineWriter w, const TraceSpec& t) {
   w.real("replay_max_task_length_s", t.replay_max_task_length_s);
 }
 
-/// Applies one `key=value` pair to a TraceSpec; returns false if the key is
-/// not a TraceSpec field.
-bool apply_trace_key(TraceSpec& t, const std::string& key,
+/// Applies one `<prefix>.<key>=value` pair to a TraceSpec; returns false if
+/// the key is not a TraceSpec field. `full_key` names the key in errors.
+bool apply_trace_key(TraceSpec& t, const std::string& full_key,
                      const std::string& value) {
+  const std::string key = full_key.substr(full_key.find('.') + 1);
   if (key == "source") {
     t.source = unescape_string(key, value);
   } else if (key == "seed") {
@@ -114,6 +122,11 @@ bool apply_trace_key(TraceSpec& t, const std::string& key,
     t.long_service_fraction = parse_double(key, value);
   } else if (key == "replay_max_task_length_s") {
     t.replay_max_task_length_s = parse_double(key, value);
+    // NaN keeps every task, as inf does, under a cache key of its own; a
+    // limit <= 0 keeps none.
+    if (!(t.replay_max_task_length_s > 0.0)) {
+      refuse(full_key, value, "must be > 0 (inf for no limit)");
+    }
   } else {
     return false;
   }
@@ -260,11 +273,11 @@ ScenarioSpec parse_scenario(const std::string& text) {
     const std::string value = line.substr(eq + 1);
 
     if (key.rfind("trace.", 0) == 0) {
-      if (!apply_trace_key(spec.trace, key.substr(6), value)) {
+      if (!apply_trace_key(spec.trace, key, value)) {
         throw std::invalid_argument("unknown scenario key '" + key + "'");
       }
     } else if (key.rfind("history.", 0) == 0) {
-      if (!apply_trace_key(spec.history, key.substr(8), value)) {
+      if (!apply_trace_key(spec.history, key, value)) {
         throw std::invalid_argument("unknown scenario key '" + key + "'");
       }
     } else if (key == "name") {
@@ -289,6 +302,12 @@ ScenarioSpec parse_scenario(const std::string& text) {
           "shared_device", value, [&] { return parse_device(value); });
     } else if (key == "storage_noise") {
       spec.storage_noise = parse_double(key, value);
+      // The noise factor is drawn from 1 +- noise: at 1 or more a cost can
+      // reach zero or go negative, a negative amplitude replays as 0 under
+      // a cache key of its own, and NaN fails deep inside the run.
+      if (!(spec.storage_noise >= 0.0 && spec.storage_noise < 1.0)) {
+        refuse(key, value, "must be in [0, 1)");
+      }
     } else if (key == "sim_seed") {
       spec.sim_seed = parse_u64(key, value);
     } else if (key == "detection_delay_s") {
@@ -297,17 +316,13 @@ ScenarioSpec parse_scenario(const std::string& text) {
       // delays would replay as zero under a cache key of their own.
       if (!std::isfinite(spec.detection_delay_s) ||
           spec.detection_delay_s < 0.0) {
-        throw std::invalid_argument("scenario key 'detection_delay_s' = '" +
-                                    value + "': must be finite and >= 0");
+        refuse(key, value, "must be finite and >= 0");
       }
     } else if (key == "shards") {
       // Retired key: artifacts written while sharded replay existed carry
       // it. Still validated so a malformed value fails as it always did.
       const std::uint64_t n = parse_u64(key, value);
-      if (n < 1 || n > 4096) {
-        throw std::invalid_argument("scenario key 'shards' = '" + value +
-                                    "': must be in [1, 4096]");
-      }
+      if (n < 1 || n > 4096) refuse(key, value, "must be in [1, 4096]");
     } else if (key == "cluster.hosts") {
       spec.cluster.hosts = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "cluster.vms_per_host") {
@@ -315,6 +330,10 @@ ScenarioSpec parse_scenario(const std::string& text) {
           static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "cluster.vm_memory_mb") {
       spec.cluster.vm_memory_mb = parse_double(key, value);
+      // A NaN capacity fits no task, so every job stays incomplete.
+      if (!std::isfinite(spec.cluster.vm_memory_mb)) {
+        refuse(key, value, "must be finite");
+      }
     } else if (key == "obs") {
       const std::string raw = unescape_string(key, value);
       spec.obs =

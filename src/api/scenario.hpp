@@ -210,7 +210,11 @@ void append_int(std::string& out, Int v, int base = 10) {
 //
 // Bools serialize as true/false (parse also accepts 1/0). Unlisted keys
 // keep their defaults on parse; unknown keys throw — so an artifact from a
-// newer schema fails loudly instead of silently dropping a field.
+// newer schema fails loudly instead of silently dropping a field. A value
+// that would replay wrongly throws too, naming its key: storage_noise
+// outside [0, 1), a NaN, infinite or negative detection_delay_s, a NaN or
+// infinite cluster.vm_memory_mb, and a NaN or non-positive
+// replay_max_task_length_s (inf means no limit).
 
 /// Serializes a spec as newline-separated `key=value` pairs (grammar
 /// above). Doubles are printed with max_digits10 precision so

@@ -17,7 +17,7 @@ CheckpointController::CheckpointController(
     const CheckpointPolicy& policy, double total_work_s, double mem_mb,
     FailureStats stats, AdaptationMode mode, storage::DeviceKind shared_kind,
     std::optional<storage::DeviceKind> forced_device)
-    : policy_(policy),
+    : policy_(&policy),
       total_work_s_(total_work_s),
       stats_(stats),
       planned_stats_(stats),
@@ -42,7 +42,7 @@ void CheckpointController::replan(double progress_s) {
   ctx.restart_cost_s = local ? decision_.local_restart_s
                              : decision_.shared_restart_s;
   ctx.stats = stats_;
-  interval_ = ctx.remaining_work_s > 0.0 ? policy_.next_interval(ctx)
+  interval_ = ctx.remaining_work_s > 0.0 ? policy_->next_interval(ctx)
                                          : total_work_s_;
   anchor_s_ = progress_s;
   planned_stats_ = stats_;

@@ -86,7 +86,9 @@ class CheckpointController {
  private:
   void replan(double progress_s);
 
-  const CheckpointPolicy& policy_;
+  /// Not owned. A pointer, not a reference, so controllers copy-assign: a
+  /// replay snapshot copies the controller column like any other.
+  const CheckpointPolicy* policy_;
   double total_work_s_;
   FailureStats stats_;
   FailureStats planned_stats_;

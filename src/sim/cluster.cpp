@@ -1,5 +1,6 @@
 #include "sim/cluster.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace cloudcr::sim {
@@ -21,8 +22,9 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   if (config_.hosts == 0 || config_.vms_per_host == 0) {
     throw std::invalid_argument("Cluster: needs at least one host and VM");
   }
-  if (config_.vm_memory_mb <= 0.0) {
-    throw std::invalid_argument("Cluster: VM memory must be > 0");
+  // Written so NaN fails too: it passes a `<= 0` test and fits no task.
+  if (!(config_.vm_memory_mb > 0.0) || std::isinf(config_.vm_memory_mb)) {
+    throw std::invalid_argument("Cluster: VM memory must be finite and > 0");
   }
   vms_.reserve(config_.hosts * config_.vms_per_host);
   VmId next = 0;

@@ -8,11 +8,11 @@ void Engine::throw_bad_schedule(const char* what) {
   throw std::invalid_argument(what);
 }
 
-EventId Engine::schedule_at(double time, EventFn fn) {
+EventId Engine::schedule_at(double time, Event event) {
   if (time < now_) {
     throw_bad_schedule("Engine::schedule_at: time is in the past");
   }
-  return queue_.schedule(time, std::move(fn));
+  return queue_.schedule(time, event);
 }
 
 }  // namespace cloudcr::sim

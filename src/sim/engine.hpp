@@ -2,8 +2,17 @@
 
 /// \file engine.hpp
 /// \brief Discrete-event simulation engine: clock + event dispatch loop.
+///
+/// The engine owns the clock and the event queue; what an event does is the
+/// caller's business. The drain loops take the dispatcher as a callable
+/// (`run(fire)`, `run_until_before(t, fire)`) and hand it each popped Event
+/// with the clock already at the event's time. An engine holds nothing but
+/// data, so copying one is a complete snapshot of the clock and every
+/// pending event (slot generations, seq counter and calendar tuning
+/// included): a copy continues with the same pops in the same order.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "sim/event_queue.hpp"
 
@@ -16,13 +25,13 @@ class Engine {
   [[nodiscard]] double now() const noexcept { return now_; }
 
   /// Schedules at an absolute time; must not be in the past.
-  EventId schedule_at(double time, EventFn fn);
+  EventId schedule_at(double time, Event event);
 
   /// Schedules `delay` seconds from now; delay must be >= 0. Inline: this is
   /// the replay hot path (every wakeup re-arms through here).
-  EventId schedule_in(double delay, EventFn fn) {
+  EventId schedule_in(double delay, Event event) {
     if (delay < 0.0) throw_bad_schedule("Engine::schedule_in: negative delay");
-    return queue_.schedule(now_ + delay, std::move(fn));
+    return queue_.schedule(now_ + delay, event);
   }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -38,32 +47,35 @@ class Engine {
     return queue_.last_popped_seq();
   }
 
-  /// Runs until the queue drains. Returns the number of events dispatched.
-  /// Inline so the pop loop fuses with the queue internals.
-  std::size_t run() {
+  /// Runs until the queue drains, handing each event to `fire(Event)`.
+  /// Returns the number of events dispatched. Inline so the pop loop fuses
+  /// with the queue internals and the dispatcher.
+  template <typename Fire>
+  std::size_t run(Fire&& fire) {
     std::size_t dispatched = 0;
     while (!queue_.empty()) {
-      auto [time, fn] = queue_.pop();
+      const auto [time, event] = queue_.pop();
       now_ = time;
-      fn();
+      fire(event);
       ++dispatched;
     }
     return dispatched;
   }
 
-  /// Dispatches every event strictly before `t_stop`, leaving events at
-  /// t_stop (and later) queued and the clock at the last dispatched event.
-  /// This is the lazy-admission boundary: the streaming replay drains the
-  /// engine up to — but not into — the next arrival instant, then admits
-  /// the arrival, reproducing exactly the ordering of an engine that had
-  /// every arrival scheduled up front (arrivals win ties against
-  /// dynamically scheduled events). Returns the number dispatched.
-  std::size_t run_until_before(double t_stop) {
+  /// Dispatches every event strictly before `t_stop` to `fire(Event)`,
+  /// leaving events at t_stop (and later) queued and the clock at the last
+  /// dispatched event. This is the lazy-admission boundary: the streaming
+  /// replay drains the engine up to — but not into — the next arrival
+  /// instant, then admits the arrival, reproducing exactly the ordering of
+  /// an engine that had every arrival scheduled up front (arrivals win ties
+  /// against dynamically scheduled events). Returns the number dispatched.
+  template <typename Fire>
+  std::size_t run_until_before(double t_stop, Fire&& fire) {
     std::size_t dispatched = 0;
     while (!queue_.empty() && queue_.next_time() < t_stop) {
-      auto [time, fn] = queue_.pop();
+      const auto [time, event] = queue_.pop();
       now_ = time;
-      fn();
+      fire(event);
       ++dispatched;
     }
     return dispatched;
@@ -97,31 +109,6 @@ class Engine {
   /// Restores the just-constructed calendar tuning (see
   /// EventQueue::reset_tuning). Only meaningful on an empty queue.
   void reset_queue_tuning() noexcept { queue_.reset_tuning(); }
-
-  /// Frozen engine state: the clock plus a deep copy of the event queue
-  /// (pending callbacks, slot generations, seq counter, calendar tuning).
-  /// Queued callbacks capture raw pointers (`this`, backends), so a
-  /// snapshot may only be restored into the very object graph that took
-  /// it — Simulation::run_stream's RunControl::resume_from enforces that
-  /// contract.
-  struct Snapshot {
-    EventQueue queue;
-    double now = 0.0;
-  };
-
-  /// Captures the current clock + queue. Every pending callback must be
-  /// trivially copyable (all simulator events are); otherwise throws.
-  [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{queue_.clone(), now_};
-  }
-
-  /// Rewinds this engine to a previously captured snapshot. Outstanding
-  /// EventIds from snapshot time stay valid (slot generations are part of
-  /// the copied state); ids handed out after the snapshot are not.
-  void restore(const Snapshot& snap) {
-    queue_ = snap.queue.clone();
-    now_ = snap.now;
-  }
 
  private:
   [[noreturn]] static void throw_bad_schedule(const char* what);

@@ -5,39 +5,8 @@
 
 namespace cloudcr::sim {
 
-void EventFn::throw_nontrivial_clone() {
-  throw std::logic_error(
-      "EventFn::clone: pending callable is not trivially copyable");
-}
-
 void EventQueue::throw_empty(const char* what) {
   throw std::logic_error(what);
-}
-
-EventQueue EventQueue::clone() const {
-  EventQueue out;
-  out.buckets_ = buckets_;
-  out.width_ = width_;
-  out.inv_width_ = inv_width_;
-  out.cur_window_ = cur_window_;
-  out.resident_ = resident_;
-  out.inserts_since_rebuild_ = inserts_since_rebuild_;
-  out.sparse_pops_since_rebuild_ = sparse_pops_since_rebuild_;
-  // scratch_ is pure rebuild staging; it stays empty in the copy.
-  out.slots_.resize(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& s = slots_[i];
-    Slot& d = out.slots_[i];
-    if (s.fn) d.fn = s.fn.clone();
-    d.gen = s.gen;
-    d.next_free = s.next_free;
-  }
-  out.free_head_ = free_head_;
-  out.next_seq_ = next_seq_;
-  out.last_popped_seq_ = last_popped_seq_;
-  out.live_ = live_;
-  out.rebuilds_ = rebuilds_;
-  return out;
 }
 
 double EventQueue::next_time() const {
@@ -127,6 +96,7 @@ void EventQueue::rebuild(std::size_t n_buckets) {
                 [](const Entry& a, const Entry& c) { return before(c, a); });
     }
   }
+  scratch_.clear();  // staging only: a copy of the queue carries none of it
   if (live_ > 0) {
     locate_min();
   } else {
@@ -145,15 +115,16 @@ void EventQueue::reset_tuning() noexcept {
 
 void EventQueue::clear() noexcept {
   rebuilds_ = 0;
-  for (Bucket& b : buckets_) b.clear();
+  for (Bucket& b : buckets_) {
+    // Invalidates the ids of pending events: exactly their slots bump, as
+    // a pop or cancel would (freed slots bumped when they were released).
+    for (const Entry& e : b) {
+      if (entry_live(e)) ++slots_[e.slot].gen;
+    }
+    b.clear();
+  }
   resident_ = 0;
   cur_window_ = 0;
-  for (Slot& s : slots_) {
-    if (s.fn) {
-      s.fn.reset();
-      ++s.gen;
-    }
-  }
   // Rebuild the free list over every slot.
   free_head_ = kNoSlot;
   for (std::size_t i = slots_.size(); i > 0; --i) {

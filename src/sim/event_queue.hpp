@@ -5,15 +5,14 @@
 ///
 /// Events at equal timestamps run in scheduling order (stable), which keeps
 /// simulations deterministic. The queue is built for the replay hot path: a
-/// week-scale trace dispatches tens of millions of events, so both the
-/// callback representation and the bookkeeping avoid per-event heap
-/// allocation entirely.
+/// week-scale trace dispatches tens of millions of events, so the
+/// bookkeeping avoids per-event heap allocation entirely.
 ///
-///  - Callbacks are EventFn: a move-only callable with fixed inline storage
-///    (no std::function, whose libstdc++ small-buffer tops out below the
-///    simulator's `this + task index + kind` captures and falls back to
-///    operator new on every schedule).
-///  - Live callbacks live in a slot slab indexed by a free list; EventId
+///  - An event is a value (Event: a target index and a kind byte), not a
+///    callable; the queue's owner dispatches popped events itself. With
+///    nothing but data inside, the whole queue copies by plain assignment,
+///    which is how a replay snapshot takes and restores it.
+///  - Pending events live in a slot slab indexed by a free list; EventId
 ///    encodes (slot, generation), so cancellation is an O(1) generation
 ///    bump — no hash map.
 ///  - Ordering runs on a calendar queue (Brown 1988): 24-byte POD entries
@@ -28,12 +27,8 @@
 /// replays traces with zero steady-state allocation.
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,126 +36,16 @@ namespace cloudcr::sim {
 
 using EventId = std::uint64_t;
 
-/// Move-only callable with fixed inline storage (no heap, ever). Callables
-/// larger than kStorage are rejected at compile time — widen the buffer
-/// rather than spilling to the heap if a bigger capture ever appears.
-class EventFn {
- public:
-  static constexpr std::size_t kStorage = 48;
-
-  EventFn() noexcept = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors
-                    // std::function's converting constructor
-    using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= kStorage,
-                  "capture too large for EventFn inline storage");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "over-aligned callables are not supported");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "EventFn requires nothrow-movable callables");
-    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-    vt_ = vtable_for<Fn>();
-  }
-
-  EventFn(EventFn&& other) noexcept : vt_(other.vt_) {
-    if (vt_ != nullptr) {
-      relocate_from(other);
-    }
-  }
-
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      vt_ = other.vt_;
-      if (vt_ != nullptr) {
-        relocate_from(other);
-      }
-    }
-    return *this;
-  }
-
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-
-  ~EventFn() { reset(); }
-
-  void reset() noexcept {
-    if (vt_ != nullptr) {
-      if (!vt_->trivial) vt_->destroy(buf_);
-      vt_ = nullptr;
-    }
-  }
-
-  [[nodiscard]] explicit operator bool() const noexcept {
-    return vt_ != nullptr;
-  }
-
-  void operator()() { vt_->invoke(buf_); }
-
-  /// Copy of this callable, for queue snapshots. Only trivially copyable
-  /// callables support cloning — every simulator event qualifies (they
-  /// capture `this` + indices); anything else throws std::logic_error
-  /// rather than silently aliasing captured state.
-  [[nodiscard]] EventFn clone() const {
-    EventFn out;
-    if (vt_ != nullptr) {
-      if (!vt_->trivial) throw_nontrivial_clone();
-      std::memcpy(out.buf_, buf_, kStorage);
-      out.vt_ = vt_;
-    }
-    return out;
-  }
-
- private:
-  struct VTable {
-    void (*invoke)(void*);
-    /// Move-constructs dst from src, then destroys src. Null for trivially
-    /// copyable callables, which relocate by memcpy and skip destruction —
-    /// every simulator event is in this class, so the common path costs one
-    /// indirect call (invoke) per event instead of three.
-    void (*relocate)(void* src, void* dst) noexcept;
-    void (*destroy)(void*) noexcept;
-    bool trivial;
-  };
-
-  template <typename Fn>
-  static const VTable* vtable_for() noexcept {
-    static constexpr VTable vt = {
-        [](void* p) { (*static_cast<Fn*>(p))(); },
-        [](void* src, void* dst) noexcept {
-          Fn* from = static_cast<Fn*>(src);
-          ::new (dst) Fn(std::move(*from));
-          from->~Fn();
-        },
-        [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
-        std::is_trivially_copyable_v<Fn> &&
-            std::is_trivially_destructible_v<Fn>,
-    };
-    return &vt;
-  }
-
-  [[noreturn]] static void throw_nontrivial_clone();
-
-  /// Takes over `other`'s callable; vt_ is already set to other.vt_.
-  void relocate_from(EventFn& other) noexcept {
-    if (vt_->trivial) {
-      std::memcpy(buf_, other.buf_, kStorage);
-    } else {
-      vt_->relocate(other.buf_, buf_);
-    }
-    other.vt_ = nullptr;
-  }
-
-  alignas(std::max_align_t) unsigned char buf_[kStorage];
-  const VTable* vt_ = nullptr;
+/// A queued event: which object it acts on and what happens to it. Plain
+/// data, so a queue (and a replay snapshot holding one) copies by
+/// assignment. The owner of the queue gives both fields their meaning;
+/// Simulation::fire dispatches on `kind`.
+struct Event {
+  std::uint32_t target = 0;
+  std::uint8_t kind = 0;
 };
 
-/// Time-ordered callback queue: a calendar queue with stable ordering and
+/// Time-ordered event queue: a calendar queue with stable ordering and
 /// O(1) allocation-free cancellation. Hot methods are inline: schedule/pop
 /// run tens of millions of times per replay and dominate its wall time.
 ///
@@ -175,11 +60,11 @@ class EventQueue {
  public:
   EventQueue() { buckets_.resize(kMinBuckets); }
 
-  /// Schedules `fn` at absolute time `time`. Returns an id for cancel().
-  EventId schedule(double time, EventFn fn) {
+  /// Schedules `event` at absolute time `time`. Returns an id for cancel().
+  EventId schedule(double time, Event event) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
-    s.fn = std::move(fn);
+    s.event = event;
     insert(Entry{time, next_seq_++, slot, s.gen});
     ++live_;
     return (static_cast<EventId>(slot) << 32) | s.gen;
@@ -217,8 +102,8 @@ class EventQueue {
   /// Timestamp of the next live event; requires !empty().
   [[nodiscard]] double next_time() const;
 
-  /// Pops and returns the next live event (time, fn). Requires !empty().
-  std::pair<double, EventFn> pop() {
+  /// Pops and returns the next live event and its time. Requires !empty().
+  std::pair<double, Event> pop() {
     if (live_ == 0) throw_empty("EventQueue::pop: empty");
     normalize();
     Bucket& b = buckets_[bucket_index(cur_window_)];
@@ -226,14 +111,14 @@ class EventQueue {
     b.pop_back();
     --resident_;
     last_popped_seq_ = top.seq;
-    EventFn fn = std::move(slots_[top.slot].fn);
+    const Event event = slots_[top.slot].event;
     release_slot(top.slot);
     --live_;
     if (resident_ * 8 < buckets_.size() && buckets_.size() > kMinBuckets) {
       // Clamp: size/4 from just above the floor would undershoot it.
       rebuild(std::max(buckets_.size() / 4, kMinBuckets));
     }
-    return {top.time, std::move(fn)};
+    return {top.time, event};
   }
 
   /// Drops every pending event; capacity is retained for reuse.
@@ -242,13 +127,6 @@ class EventQueue {
   /// Calendar rebuilds (grow/shrink/re-tune) since construction or the
   /// last clear(). Observability accounting; not part of queue semantics.
   [[nodiscard]] std::uint64_t rebuilds() const noexcept { return rebuilds_; }
-
-  /// Deep copy of the whole queue — entries, slot generations, the seq
-  /// counters, and the calendar tuning (width, cursor, rebuild cadence
-  /// counters) — so a restored queue continues with bit-identical pop
-  /// order AND bit-identical rebuild accounting. Requires every pending
-  /// callback to be trivially copyable (EventFn::clone throws otherwise).
-  [[nodiscard]] EventQueue clone() const;
 
   /// Restores the just-constructed bucket tuning. clear() deliberately
   /// keeps the learned bucket count and width so a pooled queue replays
@@ -266,7 +144,7 @@ class EventQueue {
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 22;
 
   struct Slot {
-    EventFn fn;
+    Event event;
     std::uint32_t gen = 1;        ///< bumped on release; 0 never used
     std::uint32_t next_free = kNoSlot;
   };
@@ -377,7 +255,6 @@ class EventQueue {
 
   void release_slot(std::uint32_t slot) noexcept {
     Slot& s = slots_[slot];
-    s.fn.reset();
     ++s.gen;  // invalidates the outstanding EventId and stale entries
     s.next_free = free_head_;
     free_head_ = slot;

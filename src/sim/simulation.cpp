@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -14,7 +15,16 @@ namespace cloudcr::sim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+[[noreturn]] void throw_stuck_plan(double interval_s, double t_s) {
+  char msg[192];
+  std::snprintf(msg, sizeof msg,
+                "checkpoint interval %g s cannot advance the clock at t = %g "
+                "s: the task would checkpoint forever",
+                interval_s, t_s);
+  throw std::runtime_error(msg);
 }
+}  // namespace
 
 Simulation::Simulation(SimConfig config, const core::CheckpointPolicy& policy,
                        StatsPredictor predictor, ReplayWorkspace* workspace)
@@ -90,7 +100,7 @@ void Simulation::begin_run() {
 SimResult Simulation::end_run() {
   const auto obs_drain_t0 = std::chrono::steady_clock::now();
   if (config_.probe_interval_s > 0.0) drain_probes();
-  result_.events_dispatched += engine_.run();
+  result_.events_dispatched += engine_.run([this](Event e) { fire(e); });
   // A write still in flight after the last event keeps the run open until
   // it leaves its server. The ramdisk keeps no writes.
   result_.makespan_s =
@@ -123,7 +133,7 @@ void Simulation::pump_probes_before(double t_stop) {
   // same order, so probing never changes results — samples just observe the
   // state between the last event before a tick and the first at/after it.
   while (next_probe_s_ < t_stop) {
-    result_.events_dispatched += engine_.run_until_before(next_probe_s_);
+    result_.events_dispatched += fire_until_before(next_probe_s_);
     take_probe(next_probe_s_);
     next_probe_s_ += config_.probe_interval_s;
   }
@@ -143,7 +153,7 @@ void Simulation::drain_probes() {
     while (next_probe_s_ <= engine_.now()) {
       next_probe_s_ += config_.probe_interval_s;
     }
-    result_.events_dispatched += engine_.run_until_before(next_probe_s_);
+    result_.events_dispatched += fire_until_before(next_probe_s_);
     if (!busy_from(next_probe_s_)) break;
     take_probe(next_probe_s_);
     next_probe_s_ += config_.probe_interval_s;
@@ -375,7 +385,7 @@ SimResult Simulation::run_stream(JobSource& source, std::size_t batch_jobs,
         taken = true;
       }
       if (config_.probe_interval_s > 0.0) pump_probes_before(rec.arrival_s);
-      result_.events_dispatched += engine_.run_until_before(rec.arrival_s);
+      result_.events_dispatched += fire_until_before(rec.arrival_s);
       engine_.advance_to(rec.arrival_s);
       admit_job(std::move(rec));
       ++admitted;
@@ -397,10 +407,10 @@ SimResult Simulation::run_stream(JobSource& source, std::size_t batch_jobs,
 
 std::size_t SimSnapshot::approx_bytes() const {
   std::size_t bytes = sizeof(SimSnapshot);
-  // Event queue: one bucket entry + one slot (inline callable) per event.
-  bytes += engine.queue.size() *
+  // Event queue: one bucket entry + one slot (the event value) per event.
+  bytes += engine.pending_events() *
            (sizeof(double) + sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t) +
-            EventFn::kStorage + 2 * sizeof(std::uint32_t));
+            sizeof(Event) + 2 * sizeof(std::uint32_t));
   // Task table: the per-row cost across every SoA column.
   bytes += tasks.size() *
            (sizeof(HotRow) + sizeof(EventId) + 2 * sizeof(std::int32_t) +
@@ -433,29 +443,10 @@ std::size_t SimSnapshot::approx_bytes() const {
   return bytes;
 }
 
-void Simulation::copy_task_table(const TaskTable& from, TaskTable& to) {
-  to.hot = from.hot;
-  to.pending_event = from.pending_event;
-  to.vm = from.vm;
-  to.last_failed_host = from.last_failed_host;
-  to.memory_mb = from.memory_mb;
-  to.length_s = from.length_s;
-  to.priority = from.priority;
-  to.job = from.job;
-  to.rec = from.rec;
-  to.controller.clear();
-  to.controller.reserve(from.controller.size());
-  for (const auto& c : from.controller) to.controller.push_back(c);
-  to.backend = from.backend;
-  to.ckpt_price = from.ckpt_price;
-  to.restart_price_s = from.restart_price_s;
-  to.acct = from.acct;
-}
-
 void Simulation::capture_snapshot(SimSnapshot& out,
                                   std::uint64_t jobs_admitted) const {
-  out.engine = engine_.snapshot();
-  copy_task_table(tasks_, out.tasks);
+  out.engine = engine_;
+  out.tasks = tasks_;
   out.jobs = ws_.jobs;
   out.pending = ws_.pending;
   out.free_jobs = ws_.free_jobs;
@@ -481,8 +472,8 @@ void Simulation::capture_snapshot(SimSnapshot& out,
 }
 
 void Simulation::restore_snapshot(const SimSnapshot& snap) {
-  engine_.restore(snap.engine);
-  copy_task_table(snap.tasks, tasks_);
+  engine_ = snap.engine;
+  tasks_ = snap.tasks;
   ws_.jobs = snap.jobs;
   ws_.pending = snap.pending;
   ws_.free_jobs = snap.free_jobs;
@@ -683,90 +674,101 @@ void Simulation::cancel_pending_event(std::size_t task_idx) {
   }
 }
 
-void Simulation::arm(std::size_t task_idx) {
-  arm_from(task_idx, engine_.now());
-}
-
-void Simulation::arm_from(std::size_t task_idx, double vt) {
-  cancel_pending_event(task_idx);
-
-  // All candidate wakeups, as deltas from the task's reference time `vt`
-  // (== deltas in active time, since the task is on a VM whenever this
-  // runs). vt is engine_.now() for ordinary arms; checkpoint-run
-  // compression passes the virtual wall time its inline replay reached.
-  const double active = tasks_.hot[task_idx].active_s;
-  double best_delta = kInf;
-  Wakeup best = Wakeup::kComplete;
-
-  auto consider = [&](double delta, Wakeup kind) {
-    if (delta < best_delta) {
-      best_delta = delta;
-      best = kind;
-    }
+Simulation::Wakeup Simulation::next_wakeup(std::size_t task_idx) const {
+  // Candidate deltas are in active time, which runs with wall time while
+  // the task is on a VM (the only place it has wakeups).
+  const HotRow& h = tasks_.hot[task_idx];
+  Wakeup best{kInf, EventKind::kComplete};
+  const auto consider = [&best](double delta, EventKind kind) {
+    if (delta < best.delta) best = Wakeup{delta, kind};
   };
 
   // Kill event from the trace (failure cursor precomputed at admission).
-  if (tasks_.hot[task_idx].next_failure_date_s != kInf) {
-    consider(tasks_.hot[task_idx].next_failure_date_s - active, Wakeup::kKill);
+  if (h.next_failure_date_s != kInf) {
+    consider(h.next_failure_date_s - h.active_s, EventKind::kKill);
   }
   // Scheduled priority change (active-time driven).
-  if (tasks_.hot[task_idx].flags & TaskTable::kPriorityChangePending) {
-    consider(tasks_.rec[task_idx]->priority_change_time - active,
-             Wakeup::kPriorityChange);
+  if (h.flags & TaskTable::kPriorityChangePending) {
+    consider(tasks_.rec[task_idx]->priority_change_time - h.active_s,
+             EventKind::kPriorityChange);
   }
 
-  switch (tasks_.hot[task_idx].phase) {
+  switch (h.phase) {
     case TaskPhase::kExecuting: {
-      const double progress = tasks_.hot[task_idx].progress_s;
-      consider(tasks_.length_s[task_idx] - progress, Wakeup::kComplete);
+      consider(tasks_.length_s[task_idx] - h.progress_s, EventKind::kComplete);
       const auto next_ckpt =
-          tasks_.controller[task_idx]->work_until_next_checkpoint(progress);
-      if (next_ckpt) consider(*next_ckpt, Wakeup::kCheckpointDue);
+          tasks_.controller[task_idx]->work_until_next_checkpoint(h.progress_s);
+      if (next_ckpt) consider(*next_ckpt, EventKind::kCheckpointDue);
       break;
     }
     case TaskPhase::kRestoring:
-      consider(tasks_.hot[task_idx].phase_end_active - active,
-               Wakeup::kRestoreDone);
+      consider(h.phase_end_active - h.active_s, EventKind::kRestoreDone);
       break;
     case TaskPhase::kCheckpointing:
-      consider(tasks_.hot[task_idx].phase_end_active - active,
-               Wakeup::kCheckpointDone);
+      consider(h.phase_end_active - h.active_s, EventKind::kCheckpointDone);
       break;
     default:
-      throw std::logic_error("Simulation::arm: task not on a VM");
+      throw std::logic_error("Simulation::next_wakeup: task not on a VM");
   }
 
-  if (best_delta == kInf) {
-    throw std::logic_error("Simulation::arm: no wakeup candidate");
+  if (best.delta == kInf) {
+    throw std::logic_error("Simulation::next_wakeup: no wakeup candidate");
   }
-  best_delta = std::max(0.0, best_delta);
-  const auto idx = static_cast<std::uint32_t>(task_idx);
-  const Wakeup kind = best;
-  tasks_.pending_event[task_idx] = engine_.schedule_at(
-      vt + best_delta, [this, idx, kind] { wake(idx, kind); });
+  best.delta = std::max(0.0, best.delta);
+  return best;
 }
 
-void Simulation::wake(std::size_t task_idx, Wakeup kind) {
-  tasks_.pending_event[task_idx] = TaskTable::kNoEvent;
-  sync_clock(task_idx);
+void Simulation::schedule_wakeup(std::size_t task_idx, double vt, Wakeup w) {
+  tasks_.pending_event[task_idx] =
+      engine_.schedule_at(vt + w.delta, make_event(task_idx, w.kind));
+}
+
+void Simulation::arm(std::size_t task_idx) {
+  cancel_pending_event(task_idx);
+  schedule_wakeup(task_idx, engine_.now(), next_wakeup(task_idx));
+}
+
+std::size_t Simulation::fire_until_before(double t_stop) {
+  return engine_.run_until_before(t_stop, [this](Event e) { fire(e); });
+}
+
+void Simulation::fire(Event event) {
+  const std::size_t idx = event.target;
+  const auto kind = static_cast<EventKind>(event.kind);
+  if (kind <= EventKind::kComplete) {
+    // A task wakeup: it is the row's armed event, and its handler reads
+    // clocks synced to now.
+    tasks_.pending_event[idx] = TaskTable::kNoEvent;
+    sync_clock(idx);
+  }
   switch (kind) {
-    case Wakeup::kKill:
-      handle_kill(task_idx);
+    case EventKind::kKill:
+      handle_kill(idx);
       break;
-    case Wakeup::kPriorityChange:
-      handle_priority_change(task_idx);
+    case EventKind::kPriorityChange:
+      handle_priority_change(idx);
       break;
-    case Wakeup::kCheckpointDue:
-      handle_checkpoint_due(task_idx);
+    case EventKind::kCheckpointDue:
+      handle_checkpoint_due(idx);
       break;
-    case Wakeup::kCheckpointDone:
-      handle_checkpoint_done(task_idx);
+    case EventKind::kCheckpointDone:
+      handle_checkpoint_done(idx);
       break;
-    case Wakeup::kRestoreDone:
-      handle_restore_done(task_idx);
+    case EventKind::kRestoreDone:
+      handle_restore_done(idx);
       break;
-    case Wakeup::kComplete:
-      handle_complete(task_idx);
+    case EventKind::kComplete:
+      handle_complete(idx);
+      break;
+    case EventKind::kRedispatch:
+      // The killed task's detection delay is over.
+      make_ready(idx);
+      try_dispatch();
+      break;
+    case EventKind::kSchedWake:
+      sched_wake_event_ = TaskTable::kNoEvent;
+      ++tally_.sched_wakeups;
+      sched_pump();
       break;
   }
 }
@@ -781,45 +783,46 @@ void Simulation::leave_vm(std::size_t task_idx) {
   }
 }
 
-void Simulation::handle_kill(std::size_t task_idx) {
+void Simulation::interrupt(std::size_t task_idx, const char* marker,
+                           double keep_s) {
   trace_end_span(task_idx, engine_.now());
-  trace_instant(task_idx, "failure");
+  trace_instant(task_idx, marker);
+  HotRow& h = tasks_.hot[task_idx];
   TaskAccounting& acct = tasks_.acct[task_idx];
-  ++acct.failures;
-  tasks_.advance_failure_cursor(task_idx);
   // Refund the unspent part of an interrupted checkpoint or restore phase:
-  // the cost was charged in full when the phase began, but the kill cuts it
-  // short (the wall-clock only absorbed the elapsed portion).
-  const double unspent =
-      std::max(0.0, tasks_.hot[task_idx].phase_end_active -
-                        tasks_.hot[task_idx].active_s);
-  if (tasks_.hot[task_idx].phase == TaskPhase::kCheckpointing) {
+  // the cost was charged in full when the phase began, but the interruption
+  // cuts it short (the wall-clock only absorbed the elapsed portion).
+  const double unspent = std::max(0.0, h.phase_end_active - h.active_s);
+  if (h.phase == TaskPhase::kCheckpointing) {
     acct.checkpoint_cost_s -= unspent;
-  } else if (tasks_.hot[task_idx].phase == TaskPhase::kRestoring) {
+  } else if (h.phase == TaskPhase::kRestoring) {
     acct.restart_cost_s -= unspent;
   }
-  // Roll back: progress since the last completed checkpoint is lost. A
-  // checkpoint in flight is lost too (it never completed).
-  acct.rollback_s +=
-      tasks_.hot[task_idx].progress_s - tasks_.hot[task_idx].saved_s;
-  tasks_.hot[task_idx].progress_s = tasks_.hot[task_idx].saved_s;
+  // Roll back: progress beyond `keep_s` is lost. A checkpoint in flight is
+  // lost too (it never completed).
+  acct.rollback_s += h.progress_s - keep_s;
+  h.progress_s = keep_s;
+  h.saved_s = keep_s;
+  leave_vm(task_idx);
+  h.flags |= TaskTable::kPayRestart;
+}
+
+void Simulation::handle_kill(std::size_t task_idx) {
+  ++tasks_.acct[task_idx].failures;
+  tasks_.advance_failure_cursor(task_idx);
   tasks_.last_failed_host[task_idx] = static_cast<std::int32_t>(
       cluster_.vm(static_cast<VmId>(tasks_.vm[task_idx])).host());
-  leave_vm(task_idx);
-  tasks_.hot[task_idx].flags |= TaskTable::kPayRestart;
-  tasks_.hot[task_idx].phase = TaskPhase::kQueued;
+  // The task resumes from its last completed checkpoint.
+  interrupt(task_idx, "failure", tasks_.hot[task_idx].saved_s);
 
   // Failure detection latency before the task may be rescheduled.
   const double delay = config_.detection_delay_s;
   if (delay > 0.0) {
-    const auto idx = static_cast<std::uint32_t>(task_idx);
-    engine_.schedule_in(delay, [this, idx] {
-      make_ready(idx);
-      try_dispatch();
-    });
+    engine_.schedule_in(delay, make_event(task_idx, EventKind::kRedispatch));
     tasks_.hot[task_idx].phase = TaskPhase::kNotReady;
   } else {
-    acct.last_enqueue_s = engine_.now();
+    tasks_.hot[task_idx].phase = TaskPhase::kQueued;
+    tasks_.acct[task_idx].last_enqueue_s = engine_.now();
     push_pending(task_idx);
     try_dispatch();
   }
@@ -845,16 +848,16 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
   // inline against a virtual wall clock `vt` and schedules one engine event
   // for the first wakeup that genuinely needs the event loop.
   //
-  // Bit-identity: every float below replays the uncompressed engine's
-  // arithmetic expression-for-expression in the same order (arm()'s delta
-  // space, first-candidate-wins ties, sync_clock's elapsed guard), and the
-  // compressed steps touch no globally ordered state (cluster, RNG,
-  // contended devices). At exact delta ties the kill/priority wake must
-  // win, as in arm() — hence every strict inequality.
+  // Bit-identity: both decisions below are next_wakeup(), the choice an
+  // uncompressed engine's arm() makes at that state, and every float replays
+  // that engine's arithmetic expression-for-expression in the same order
+  // (sync_clock's elapsed guard included). The compressed steps touch no
+  // globally ordered state (cluster, RNG, contended devices).
   storage::StorageBackend* backend = tasks_.backend[task_idx];
   const bool pure = backend->begin_is_pure();
   const std::size_t host =
       cluster_.vm(static_cast<VmId>(tasks_.vm[task_idx])).host();
+  HotRow& h = tasks_.hot[task_idx];
   TaskAccounting& acct = tasks_.acct[task_idx];
   // Read once: the loop's calls could alias config_, so a member test
   // would be reloaded on every inline checkpoint.
@@ -881,84 +884,52 @@ void Simulation::handle_checkpoint_due(std::size_t task_idx) {
         backend->begin_priced(tasks_.ckpt_price[task_idx], host, at);
     ++acct.checkpoints;
     acct.checkpoint_cost_s += ticket.cost;
-    tasks_.hot[task_idx].ckpt_progress_s = tasks_.hot[task_idx].progress_s;
-    tasks_.hot[task_idx].phase = TaskPhase::kCheckpointing;
+    h.ckpt_progress_s = h.progress_s;
+    h.phase = TaskPhase::kCheckpointing;
     if (tracer != nullptr) trace_begin_span(task_idx, vt, false);
-    tasks_.hot[task_idx].phase_end_active =
-        tasks_.hot[task_idx].active_s + ticket.cost;
+    h.phase_end_active = h.active_s + ticket.cost;
 
     // -- can the write complete uninterrupted? ------------------------------
-    const double active0 = tasks_.hot[task_idx].active_s;
-    const double done_delta = tasks_.hot[task_idx].phase_end_active - active0;
-    const double kill_delta =
-        tasks_.hot[task_idx].next_failure_date_s != kInf
-            ? tasks_.hot[task_idx].next_failure_date_s - active0
-            : kInf;
-    const double prio_delta =
-        (tasks_.hot[task_idx].flags & TaskTable::kPriorityChangePending)
-            ? tasks_.rec[task_idx]->priority_change_time - active0
-            : kInf;
-    if (!(done_delta < kill_delta && done_delta < prio_delta)) {
+    const Wakeup done = next_wakeup(task_idx);
+    if (done.kind != EventKind::kCheckpointDone) {
       ++tally_.ckpt_evented;
-      arm_from(task_idx, vt);
+      schedule_wakeup(task_idx, vt, done);
       return;
     }
 
     // -- the done transition, replayed inline -------------------------------
-    const double delta0 = std::max(0.0, done_delta);
-    const double done_time = vt + delta0;         // the done wake's timestamp
+    const double done_time = vt + done.delta;     // the done wake's timestamp
     const double elapsed = done_time - vt;        // sync_clock at that wake
-    if (elapsed > 0.0) tasks_.hot[task_idx].active_s = active0 + elapsed;
-    tasks_.hot[task_idx].last_sync_s = done_time;
-    tasks_.hot[task_idx].saved_s = tasks_.hot[task_idx].ckpt_progress_s;
-    tasks_.controller[task_idx]->on_checkpoint(tasks_.hot[task_idx].saved_s);
+    if (elapsed > 0.0) h.active_s += elapsed;
+    h.last_sync_s = done_time;
+    h.saved_s = h.ckpt_progress_s;
+    tasks_.controller[task_idx]->on_checkpoint(h.saved_s);
     ++tally_.ckpt_compressed;
     if (tracer != nullptr) trace_end_span(task_idx, done_time);  // "ckpt"
-    tasks_.hot[task_idx].phase = TaskPhase::kExecuting;
+    h.phase = TaskPhase::kExecuting;
     if (tracer != nullptr) trace_begin_span(task_idx, done_time, false);
     vt = done_time;
 
     // -- the post-checkpoint arm, against the virtual state -----------------
-    const double active1 = tasks_.hot[task_idx].active_s;
-    double best_delta = kInf;
-    Wakeup best = Wakeup::kComplete;
-    auto consider = [&](double delta, Wakeup kind) {
-      if (delta < best_delta) {
-        best_delta = delta;
-        best = kind;
-      }
-    };
-    if (tasks_.hot[task_idx].next_failure_date_s != kInf) {
-      consider(tasks_.hot[task_idx].next_failure_date_s - active1,
-               Wakeup::kKill);
+    const Wakeup next = next_wakeup(task_idx);
+    if (next.kind == EventKind::kCheckpointDue && vt + next.delta == vt) {
+      // The plan's next checkpoint lands on this very instant: the task
+      // would checkpoint forever without making progress.
+      throw_stuck_plan(tasks_.controller[task_idx]->current_interval(), vt);
     }
-    if (tasks_.hot[task_idx].flags & TaskTable::kPriorityChangePending) {
-      consider(tasks_.rec[task_idx]->priority_change_time - active1,
-               Wakeup::kPriorityChange);
-    }
-    const double progress = tasks_.hot[task_idx].progress_s;
-    consider(tasks_.length_s[task_idx] - progress, Wakeup::kComplete);
-    const auto next_ckpt =
-        tasks_.controller[task_idx]->work_until_next_checkpoint(progress);
-    if (next_ckpt) consider(*next_ckpt, Wakeup::kCheckpointDue);
-
-    best_delta = std::max(0.0, best_delta);
-    if (best != Wakeup::kCheckpointDue || !pure) {
-      const auto idx = static_cast<std::uint32_t>(task_idx);
-      const Wakeup kind = best;
-      tasks_.pending_event[task_idx] = engine_.schedule_at(
-          vt + best_delta, [this, idx, kind] { wake(idx, kind); });
+    if (next.kind != EventKind::kCheckpointDue || !pure) {
+      schedule_wakeup(task_idx, vt, next);
       return;
     }
 
     // -- next checkpoint is also determined: advance to it inline -----------
-    const double due_time = vt + best_delta;      // the due wake's timestamp
+    const double due_time = vt + next.delta;      // the due wake's timestamp
     const double run = due_time - vt;             // sync_clock at that wake
     if (run > 0.0) {
-      tasks_.hot[task_idx].active_s = active1 + run;
-      tasks_.hot[task_idx].progress_s = progress + run;  // kExecuting accrues
+      h.active_s += run;
+      h.progress_s += run;  // kExecuting accrues
     }
-    tasks_.hot[task_idx].last_sync_s = due_time;
+    h.last_sync_s = due_time;
     vt = due_time;
   }
 }
@@ -1186,11 +1157,8 @@ void Simulation::sched_pump_once() {
 
   const double wake = sched_decision_.wake_at_s;
   if (!sched_queue_.empty() && std::isfinite(wake) && wake > now) {
-    sched_wake_event_ = engine_.schedule_at(wake, [this] {
-      sched_wake_event_ = TaskTable::kNoEvent;
-      ++tally_.sched_wakeups;
-      sched_pump();
-    });
+    sched_wake_event_ =
+        engine_.schedule_at(wake, make_event(0, EventKind::kSchedWake));
   }
 }
 
@@ -1237,11 +1205,10 @@ void Simulation::preempt_job_tasks(std::uint32_t job_slot,
     pending_min_mb_ = new_min;
   }
 
-  // On-VM tasks are interrupted exactly like a trace kill (same refund and
-  // rollback arithmetic as handle_kill), minus the failure accounting: the
-  // scheduler, not the platform, stopped them. kRequeue discards all
-  // progress; kCheckpointRequeue resumes from the last completed checkpoint.
-  // Either way the next dispatch pays the device restart price (kPayRestart).
+  // On-VM tasks are interrupted as a trace kill is, minus the failure
+  // accounting: the scheduler, not the platform, stopped them. kRequeue
+  // discards all progress; kCheckpointRequeue resumes from the last
+  // completed checkpoint.
   for (std::size_t i = 0; i < job.n_tasks; ++i) {
     const std::size_t t = job.first_task + i;
     const TaskPhase phase = tasks_.hot[t].phase;
@@ -1251,26 +1218,8 @@ void Simulation::preempt_job_tasks(std::uint32_t job_slot,
     }
     sync_clock(t);
     cancel_pending_event(t);
-    trace_end_span(t, engine_.now());
-    trace_instant(t, "evict");
-    TaskAccounting& acct = tasks_.acct[t];
-    const double unspent = std::max(
-        0.0, tasks_.hot[t].phase_end_active - tasks_.hot[t].active_s);
-    if (phase == TaskPhase::kCheckpointing) {
-      acct.checkpoint_cost_s -= unspent;
-    } else if (phase == TaskPhase::kRestoring) {
-      acct.restart_cost_s -= unspent;
-    }
-    if (mode == sched::PreemptMode::kCheckpointRequeue) {
-      acct.rollback_s += tasks_.hot[t].progress_s - tasks_.hot[t].saved_s;
-      tasks_.hot[t].progress_s = tasks_.hot[t].saved_s;
-    } else {
-      acct.rollback_s += tasks_.hot[t].progress_s;
-      tasks_.hot[t].progress_s = 0.0;
-      tasks_.hot[t].saved_s = 0.0;
-    }
-    leave_vm(t);
-    tasks_.hot[t].flags |= TaskTable::kPayRestart;
+    const bool keep = mode == sched::PreemptMode::kCheckpointRequeue;
+    interrupt(t, "evict", keep ? tasks_.hot[t].saved_s : 0.0);
     tasks_.hot[t].phase = TaskPhase::kNotReady;
     ++result_.preempted_tasks;
     sched_stash_.push_back(static_cast<std::uint32_t>(t));

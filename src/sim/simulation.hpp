@@ -136,21 +136,23 @@ struct ReplayWorkspace {
 };
 
 /// Frozen mid-run state of a replay, taken at an arrival boundary: the
-/// engine (clock + cloned event queue), every workspace table, the cluster
-/// index, the RNG, both storage-backend states, the scheduler queues, probe
-/// cursors, and the partial result. Together with the count of
-/// already-consumed source jobs this is everything a resumed run needs to
+/// engine (clock and every pending event), every workspace table, the
+/// cluster index, the RNG, both storage-backend states, the scheduler
+/// queues, probe cursors, and the partial result. Together with the count
+/// of already-consumed source jobs this is everything a resumed run needs to
 /// continue bit-identically to a replay from zero — the snapshot==replay
-/// house invariant (tests/svc/snapshot_identity_test.cpp).
+/// house invariant (tests/svc/snapshot_identity_test.cpp). Every member is
+/// a plain value, so taking and restoring a snapshot is assignment.
 ///
-/// A snapshot is bound to the Simulation instance that captured it: queued
-/// callbacks and task rows hold raw pointers to that instance and its
-/// storage backends, so a run resuming it (RunControl::resume_from) must
-/// use the same object (which must not have started any other run from
-/// zero in between). One snapshot supports any number of sequential
-/// resumes.
+/// A snapshot is bound to the Simulation instance that captured it only by
+/// pointers in its task rows: the device pointers name that instance's
+/// storage members, and the controllers' policy pointers the policy it was
+/// built with (restoring re-points the record pointers at the copied job
+/// buffers). So a run resuming it (RunControl::resume_from) must use the
+/// same object (which must not have started any other run from zero in
+/// between). One snapshot supports any number of sequential resumes.
 struct SimSnapshot {
-  Engine::Snapshot engine;
+  Engine engine;
   TaskTable tasks;
   std::vector<ReplayWorkspace::JobState> jobs;
   std::vector<std::uint32_t> pending;
@@ -251,24 +253,39 @@ class Simulation {
                        const RunControl& control = {});
 
  private:
-  enum class Wakeup : std::uint8_t {
+  /// What a queued Event does. The first six are the task wakeups of
+  /// Algorithm 1's loop (target: the task row); fire() recognises them by
+  /// their place before kRedispatch, so keep them first. The last two are
+  /// the failure-detection redispatch of a killed task (target: its row)
+  /// and the scheduler wake (target unused).
+  enum class EventKind : std::uint8_t {
     kKill,
     kPriorityChange,
     kCheckpointDue,
     kCheckpointDone,
     kRestoreDone,
     kComplete,
+    kRedispatch,
+    kSchedWake,
   };
+
+  /// A task's next wakeup: its kind and its delay in active time (>= 0).
+  struct Wakeup {
+    double delta;
+    EventKind kind;
+  };
+
+  /// The queued form of `kind` acting on row `target`.
+  static Event make_event(std::size_t target, EventKind kind) {
+    return Event{static_cast<std::uint32_t>(target),
+                 static_cast<std::uint8_t>(kind)};
+  }
 
   using JobState = ReplayWorkspace::JobState;
 
   // -- run skeleton ---------------------------------------------------------
   /// Resets all pooled state for a run from zero.
   void begin_run();
-  /// Copies every mutable column; the controller column is rebuilt by copy
-  /// construction (CheckpointController's policy reference deletes its copy
-  /// assignment, which vector element-wise assignment would need).
-  static void copy_task_table(const TaskTable& from, TaskTable& to);
   /// Copies the full mid-run state into `out` (read-only; the running
   /// simulation is not perturbed).
   void capture_snapshot(SimSnapshot& out, std::uint64_t jobs_admitted) const;
@@ -297,14 +314,30 @@ class Simulation {
   void push_pending(std::size_t task_idx);
   void try_dispatch();
   bool dispatch(std::size_t task_idx);
+  /// Dispatches one popped event: the one switch over every EventKind.
+  void fire(Event event);
+  /// Fires every queued event strictly before `t_stop` (see
+  /// Engine::run_until_before); returns how many fired.
+  std::size_t fire_until_before(double t_stop);
+  /// The on-VM task's next wakeup from its current state. Candidates in
+  /// order: kill, priority change, then the phase's own wakeup (completion
+  /// and checkpoint due, restore done, or checkpoint done); the first strict
+  /// minimum wins.
+  [[nodiscard]] Wakeup next_wakeup(std::size_t task_idx) const;
+  /// Queues wakeup `w` at `vt + w.delta`: vt is now, or the virtual wall
+  /// time a checkpoint run reached.
+  void schedule_wakeup(std::size_t task_idx, double vt, Wakeup w);
+  /// Replaces the task's pending wakeup with its next one.
   void arm(std::size_t task_idx);
-  /// arm() generalized to a reference wall time `vt` >= now: used by
-  /// checkpoint-run compression to schedule from a virtually advanced state.
-  void arm_from(std::size_t task_idx, double vt);
-  void wake(std::size_t task_idx, Wakeup kind);
 
   // -- handlers (clock already synced) --------------------------------------
   void handle_kill(std::size_t task_idx);
+  /// Takes an on-VM task off its VM, as a kill or an eviction does: ends
+  /// its span with the `marker` instant, refunds the unspent part of a
+  /// checkpoint or restore phase, rolls progress back to `keep_s` (which
+  /// becomes the saved progress), and makes the next dispatch pay the
+  /// restart price.
+  void interrupt(std::size_t task_idx, const char* marker, double keep_s);
   void handle_priority_change(std::size_t task_idx);
   /// Begins a checkpoint, then compresses the deterministic continuation:
   /// uninterruptible done transitions, and on pure devices whole runs of

@@ -22,18 +22,17 @@ namespace {
 struct Model {
   // (time, insertion order) -> marker value; multimap iteration order is
   // exactly the queue's contract.
-  std::multimap<std::pair<double, std::uint64_t>, int> entries;
+  std::multimap<std::pair<double, std::uint64_t>, std::uint32_t> entries;
   std::uint64_t next_seq = 0;
 };
 
 class QueueVsModel {
  public:
-  EventId schedule(double time, int marker) {
+  EventId schedule(double time, std::uint32_t marker) {
     const auto key = std::make_pair(time, model_.next_seq++);
     model_.entries.emplace(key, marker);
-    const EventId id = queue_.schedule(time, [this, marker] {
-      fired_marker_ = marker;
-    });
+    const EventId id = queue_.schedule(
+        time, Event{marker, static_cast<std::uint8_t>(marker % 8)});
     ids_.emplace_back(id, key);
     return id;
   }
@@ -50,12 +49,11 @@ class QueueVsModel {
     ASSERT_FALSE(queue_.empty());
     const auto expected = model_.entries.begin();
     EXPECT_DOUBLE_EQ(queue_.next_time(), expected->first.first);
-    auto [time, fn] = queue_.pop();
+    const auto [time, event] = queue_.pop();
     EXPECT_DOUBLE_EQ(time, expected->first.first);
-    fired_marker_ = -1;
-    fn();
-    EXPECT_EQ(fired_marker_, expected->second)
+    EXPECT_EQ(event.target, expected->second)
         << "queue popped a different event than the reference order";
+    EXPECT_EQ(event.kind, expected->second % 8);
     model_.entries.erase(expected);
   }
 
@@ -76,7 +74,6 @@ class QueueVsModel {
   EventQueue queue_;
   Model model_;
   std::vector<std::pair<EventId, std::pair<double, std::uint64_t>>> ids_;
-  int fired_marker_ = -1;
 };
 
 std::uint64_t splitmix(std::uint64_t& state) {
@@ -90,7 +87,7 @@ std::uint64_t splitmix(std::uint64_t& state) {
 TEST(EventQueueProperty, MatchesReferenceOrderUnderMixedChurn) {
   QueueVsModel q;
   std::uint64_t rng = 0xc0ffee;
-  int marker = 0;
+  std::uint32_t marker = 0;
   double clock = 0.0;  // schedules are >= the last pop, like the engine
   for (int step = 0; step < 60000; ++step) {
     const std::uint64_t roll = splitmix(rng) % 100;
@@ -126,7 +123,7 @@ TEST(EventQueueProperty, DrainAfterBurstsKeepsOrder) {
   // Alternating burst/drain cycles around the grow/shrink thresholds.
   QueueVsModel q;
   std::uint64_t rng = 42;
-  int marker = 0;
+  std::uint32_t marker = 0;
   for (int cycle = 0; cycle < 20; ++cycle) {
     const std::size_t burst = 1 + splitmix(rng) % 700;
     for (std::size_t i = 0; i < burst; ++i) {
@@ -137,6 +134,35 @@ TEST(EventQueueProperty, DrainAfterBurstsKeepsOrder) {
     while (q.size() > keep) q.pop_and_check();
   }
   while (q.size() > 0) q.pop_and_check();
+}
+
+TEST(EventQueueProperty, CopyMidChurnDrainsInReferenceOrder) {
+  // A copy taken at any point of the churn (whatever the calendar's width,
+  // cursor and stale entries) is a full snapshot: it drains in the
+  // reference order, and the original carries on unaffected.
+  QueueVsModel q;
+  std::uint64_t rng = 0x5eed;
+  std::uint32_t marker = 0;
+  for (int step = 1; step <= 20000; ++step) {
+    const std::uint64_t roll = splitmix(rng) % 100;
+    if (roll < 60 || q.size() == 0) {
+      // Mostly dense near times, sometimes far ones: the copies see the
+      // calendar at many widths.
+      const double scale = splitmix(rng) % 4 == 0 ? 250.0 : 0.01;
+      q.schedule(static_cast<double>(splitmix(rng) % 4000) * scale, marker++);
+    } else if (roll < 75) {
+      q.cancel_random(splitmix(rng));
+    } else {
+      q.pop_and_check();
+    }
+    if (step % 2500 == 0) {
+      QueueVsModel copy = q;
+      while (copy.size() > 0) copy.pop_and_check();
+      copy.check_counters();
+    }
+  }
+  while (q.size() > 0) q.pop_and_check();
+  q.check_counters();
 }
 
 }  // namespace

@@ -383,6 +383,30 @@ TEST(Simulation, FinalProbeDrainSamplesWhileAWriteIsInFlight) {
   EXPECT_TRUE(run_write_outlasting_task(100.33).probes.empty());
 }
 
+// A fixed interval too small to move the clock (t + interval == t) would
+// checkpoint forever at zero progress inside one event. The run throws
+// instead, naming the interval, both in the ramdisk's inline checkpoint run
+// and on a contended shared device.
+TEST(Simulation, CheckpointPlanThatCannotAdvanceTheClockThrows) {
+  const auto trace = one_job(JobStructure::kSequentialTasks,
+                             {make_task(400.0, 160.0, 2)}, 100.0);
+  const core::FixedIntervalPolicy policy(1e-300);
+  for (const PlacementMode placement :
+       {PlacementMode::kForceLocal, PlacementMode::kForceShared}) {
+    SimConfig cfg = default_config();
+    cfg.placement = placement;
+    Simulation sim(cfg, policy, fixed_stats(1.0, 200.0));
+    try {
+      (void)sim.run(trace);
+      ADD_FAILURE() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("checkpoint interval 1e-300 s"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Simulation, DeterministicAcrossRuns) {
   trace::GeneratorConfig gcfg;
   gcfg.seed = 21;

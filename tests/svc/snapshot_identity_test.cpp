@@ -8,6 +8,10 @@
 // scheduler families (fcfs, backfill:easy, preempt:ckpt), so the snapshot
 // has to faithfully carry the event queue, task/controller state, RNG
 // stream, storage-backend occupancy, and scheduler queue through the fork.
+// Two more inputs make sure the event kinds that are not task wakeups cross
+// a fork: a detection delay (killed tasks wait out a queued redispatch) and
+// a loaded backfill cluster (a queued scheduler wake); a capture through
+// ScenarioRunner::run_parked checks that some fork really holds each.
 //
 // A second suite pins the other direction: at fork_at=0 an *overridden*
 // resume (policy / detection-delay swap) must equal a from-scratch run of
@@ -87,6 +91,9 @@ struct SourcePoint {
 struct GridParam {
   std::uint64_t sim_seed;
   std::string sched;
+  double detection_delay_s = 0.0;
+  double arrival_rate = 0.08;  ///< synthetic source only
+  std::size_t hosts = 4;       ///< two VMs each
 };
 
 std::vector<SourcePoint> source_points(std::uint64_t sim_seed) {
@@ -103,18 +110,31 @@ api::ScenarioSpec make_spec(const SourcePoint& point, const GridParam& p) {
   spec.policy = "formula3";
   spec.sched = p.sched;
   spec.sim_seed = p.sim_seed;
+  spec.detection_delay_s = p.detection_delay_s;
   // A small cluster so the backfill/preempt points actually queue work.
-  spec.cluster.hosts = 4;
+  spec.cluster.hosts = p.hosts;
   spec.cluster.vms_per_host = 2;
   if (point.source.empty()) {
     spec.trace.seed = p.sim_seed;
     spec.trace.horizon_s = 1800.0;
-    spec.trace.arrival_rate = 0.08;
+    spec.trace.arrival_rate = p.arrival_rate;
   } else {
     spec.trace.source = point.source;
   }
   return spec;
 }
+
+/// The five seeded fork points of one grid scenario.
+std::vector<double> fork_points(const GridParam& p, const SourcePoint& point) {
+  std::mt19937_64 rng(p.sim_seed ^ api::fnv1a64(point.tag + p.sched));
+  std::uniform_real_distribution<double> fork_point(0.0, 1600.0);
+  std::vector<double> forks;
+  for (int fork = 0; fork < 5; ++fork) forks.push_back(fork_point(rng));
+  return forks;
+}
+
+const GridParam kDelayPoint{11u, "fcfs", 60.0};
+const GridParam kLoadPoint{13u, "backfill:easy", 0.0, 0.3, 2};
 
 class SnapshotIdentityTest : public testing::TestWithParam<GridParam> {};
 
@@ -126,12 +146,10 @@ TEST_P(SnapshotIdentityTest, ForkedResumeMatchesReplayFromZero) {
         canonical_json(api::ScenarioRunner(spec).run_streamed());
 
     SimService service;
-    std::mt19937_64 rng(p.sim_seed ^ api::fnv1a64(point.tag + p.sched));
-    std::uniform_real_distribution<double> fork_point(0.0, 1600.0);
-    for (int fork = 0; fork < 5; ++fork) {
+    for (const double fork_at : fork_points(p, point)) {
       WhatIfRequest request;
       request.base = spec;
-      request.fork_at = fork_point(rng);
+      request.fork_at = fork_at;
       const ServiceReply reply = service.whatif(request);
       EXPECT_EQ(canonical_json(*reply.artifact), reference)
           << point.tag << " sched='" << p.sched << "' seed=" << p.sim_seed
@@ -155,14 +173,57 @@ INSTANTIATE_TEST_SUITE_P(
                     GridParam{13u, "backfill:easy"},
                     GridParam{11u, "preempt:ckpt"},
                     GridParam{12u, "preempt:ckpt"},
-                    GridParam{13u, "preempt:ckpt"}),
+                    GridParam{13u, "preempt:ckpt"},
+                    kDelayPoint,
+                    kLoadPoint),
     [](const testing::TestParamInfo<GridParam>& info) {
       std::string sched = info.param.sched;
       for (char& c : sched) {
         if (c == ':') c = '_';
       }
-      return sched + "_seed" + std::to_string(info.param.sim_seed);
+      std::string name = sched + "_seed" + std::to_string(info.param.sim_seed);
+      if (info.param.detection_delay_s > 0.0) name += "_delayed";
+      if (info.param.hosts != 4) name += "_loaded";
+      return name;
     });
+
+// The delay and load inputs of the grid fork with the two non-wakeup event
+// kinds queued: some fork holds a killed task waiting out its detection
+// delay (its redispatch is queued), and some fork holds a scheduler wake.
+// Captured through the same parked replay the service resumes from, at the
+// grid's own fork points.
+TEST(SnapshotIdentityTest, SomeForksHoldNonWakeupEvents) {
+  const auto count_forks = [](const GridParam& p, auto&& holds) {
+    int forks = 0;
+    for (const SourcePoint& point : source_points(p.sim_seed)) {
+      const api::ScenarioRunner runner(make_spec(point, p));
+      api::ParkedReplay parked;
+      for (const double fork_at : fork_points(p, point)) {
+        sim::SimSnapshot snap;
+        sim::RunControl control;
+        control.capture = &snap;
+        control.fork_at = fork_at;
+        (void)runner.run_parked(parked, control);
+        if (holds(snap)) ++forks;
+      }
+    }
+    return forks;
+  };
+  const auto killed_task_waits = [](const sim::SimSnapshot& snap) {
+    for (const sim::HotRow& row : snap.tasks.hot) {
+      if (row.phase == sim::TaskPhase::kNotReady &&
+          (row.flags & sim::TaskTable::kPayRestart) != 0) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto sched_wake_queued = [](const sim::SimSnapshot& snap) {
+    return snap.sched_wake_event != sim::TaskTable::kNoEvent;
+  };
+  EXPECT_GT(count_forks(kDelayPoint, killed_task_waits), 0);
+  EXPECT_GT(count_forks(kLoadPoint, sched_wake_queued), 0);
+}
 
 // An override applied at fork_at=0 covers the whole run, so the resumed
 // artifact must match a from-scratch run of the overridden spec (modulo

@@ -81,7 +81,16 @@ std::string plausible_value(const std::string& key, std::mt19937_64& rng) {
     const char* options[] = {"alpha", "formula3", "x\\\\y"};
     return options[coin(rng)];
   }
-  // Numeric fields.
+  // Numeric fields. Keys with a narrower range than "any finite number"
+  // draw inside it, so their soups parse as often as the rest.
+  if (key == "storage_noise") {
+    const char* options[] = {"0", "0.05", "0.5"};
+    return options[coin(rng)];
+  }
+  if (key.find("replay_max_task_length_s") != std::string::npos) {
+    const char* options[] = {"42", "1.5", "inf"};
+    return options[coin(rng)];
+  }
   const char* options[] = {"0", "42", "1.5"};
   return options[coin(rng)];
 }
